@@ -40,7 +40,6 @@ from .policy import (
 from .sim import (
     SimConfig,
     SimResult,
-    model_genie,
     monte_carlo,
     sample_permutation,
     sample_response,

@@ -1,9 +1,15 @@
 """Seeded Monte Carlo estimation of the strategy's success probability.
 
+Every decision happens at a record, and under a uniform random order the
+record indicators are independent with P(record at t) = 1/t (Renyi's record
+theorem).  So an episode is sampled record by record, never as a permutation:
+it jumps to the first record at or past its stage threshold, and a record is
+the overall best iff the next record after it lies past n.  A block takes at
+most K + 1 vectorized rounds and O(block size) memory, whatever n is.
+
 Trials are grouped into fixed-size blocks; block b draws all its randomness
-from a Philox stream keyed by SeedSequence(seed, spawn_key=(b,)), and the walk
-inside a block is vectorized across episodes.  Because the block layout
-depends only on the trial count, results are a pure function of
+from a Philox stream keyed by SeedSequence(seed, spawn_key=(b,)).  Because the
+block layout depends only on the trial count, results are a pure function of
 (spec, thresholds, trials, seed) at any parallelism level, and aggregation is
 exact integer addition.
 """
@@ -11,13 +17,14 @@ exact integer addition.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ProblemSpec, ResponseModel, ValidationError
-from .policy import Genie, HorizonMismatch
+from .policy import HorizonMismatch
 from .solver import ThresholdSet
 
 BLOCK_TRIALS = 8192
@@ -68,97 +75,76 @@ def sample_response(rng: np.random.Generator, model: ResponseModel, is_best: boo
     return model.M
 
 
-def model_genie(rng: np.random.Generator, model: ResponseModel) -> Genie:
-    """Genie callable for run_strategy, backed by sample_response."""
-    return lambda t, is_best: sample_response(rng, model, is_best)
+def _next_record(rng: np.random.Generator, pos: np.ndarray, n: int) -> np.ndarray:
+    """First record after each time in pos, or n + 1 if there is none up to n.
+
+    P(no record in pos+1..x) = pos/x, the law of floor(pos/U) + 1 for U uniform
+    on (0, 1].  The quotient is compared with n as a float: a tiny U overflows int64.
+    """
+    x = pos / (1.0 - rng.random(pos.size))
+    return np.where(x < n, np.floor(x), n).astype(np.int64) + 1
 
 
 def _simulate_block(args: tuple) -> tuple[int, int, int]:
     (n, K, M, r_f, r, s, p, q, seed, block_index, block_size) = args
     rng = _block_rng(seed, block_index)
-    B = block_size
-    perms = np.tile(np.arange(1, n + 1, dtype=np.int64), (B, 1))
-    rng.permuted(perms, axis=1, out=perms)
-    is_rec = perms == np.minimum.accumulate(perms, axis=1)
-    best_pos = np.argmin(perms, axis=1) + 1
-
-    r_arr = np.asarray(r, dtype=np.int64)
-    s_arr = np.asarray(s, dtype=np.int64).reshape(K, M) if K else np.zeros((0, M), np.int64)
+    gate = np.array([*r, r_f], dtype=np.int64)  # gate[k-1]: first time stage k may act
+    s_arr = np.asarray(s, dtype=np.int64).reshape(K, M)
     cp = np.cumsum(np.asarray(p, dtype=np.float64))
     cq = np.cumsum(np.asarray(q, dtype=np.float64))
 
-    k = np.ones(B, dtype=np.int64)  # index of the next query; K+1 once spent
-    alive = np.ones(B, dtype=bool)
-    successes = 0
-    queries = 0
-    for t in range(1, n + 1):
-        rec = alive & is_rec[:, t - 1]
-        if not rec.any():
-            continue
-        fin = rec & (k > K) if t >= r_f else None
-        if K:
-            cand = np.flatnonzero(rec & (k <= K))
-            if cand.size:
-                qidx = cand[t >= r_arr[k[cand] - 1]]
-                if qidx.size:
-                    ib = best_pos[qidx] == t
-                    u = rng.random(qidx.size)
-                    lev = np.where(
-                        ib,
-                        np.searchsorted(cp, u, side="right"),
-                        np.searchsorted(cq, u, side="right"),
-                    )
-                    np.clip(lev, 0, M - 1, out=lev)
-                    stop = t >= s_arr[k[qidx] - 1, lev]
-                    successes += int(np.count_nonzero(stop & ib))
-                    queries += int(qidx.size)
-                    alive[qidx[stop]] = False
-                    k[qidx[~stop]] += 1
-        if fin is not None:
-            fidx = np.flatnonzero(fin)
-            if fidx.size:
-                successes += int(np.count_nonzero(best_pos[fidx] == t))
-                alive[fidx] = False
-    return successes, queries, B
+    # cand: the record each live episode acts on at stage k (query k, or the
+    # final stop at k = K+1).  Every live episode is at the same stage.
+    cand = _next_record(rng, np.full(block_size, gate[0] - 1), n)
+    successes = queries = 0
+    for k in range(1, K + 2):
+        cand = cand[cand <= n]
+        if not cand.size:
+            break
+        after = _next_record(rng, cand, n)
+        is_best = after > n  # the overall best is the last record
+        if k > K:
+            successes += int(np.count_nonzero(is_best))
+            break
+        u = rng.random(cand.size)
+        lev = np.where(is_best, cp.searchsorted(u, "right"), cq.searchsorted(u, "right"))
+        np.clip(lev, 0, M - 1, out=lev)
+        stop = cand >= s_arr[k - 1, lev]
+        successes += int(np.count_nonzero(stop & is_best))
+        queries += int(cand.size)
+        # The record after cand is already drawn: it is the next candidate when
+        # it is at or past the next gate.  Otherwise that draw says nothing
+        # about times at or past the gate, so the candidate is a fresh draw.
+        cand = after[~stop]
+        early = cand < gate[k]
+        cand[early] = _next_record(rng, np.full(int(np.count_nonzero(early)), gate[k] - 1), n)
+    return successes, queries, block_size
 
 
 def _block_args(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> list[tuple]:
     p = tuple(float(x) for x in spec.model.p)
     q = tuple(float(x) for x in spec.model.q)
-    args = []
-    remaining = cfg.trials
-    block_index = 0
-    while remaining > 0:
-        size = min(BLOCK_TRIALS, remaining)
-        args.append(
-            (
-                spec.n,
-                spec.K,
-                spec.model.M,
-                thresholds.r_f,
-                thresholds.r,
-                thresholds.s,
-                p,
-                q,
-                cfg.seed,
-                block_index,
-                size,
-            )
-        )
-        remaining -= size
-        block_index += 1
-    return args
+    head = (spec.n, spec.K, spec.model.M, thresholds.r_f, thresholds.r, thresholds.s, p, q, cfg.seed)
+    return [
+        (*head, i // BLOCK_TRIALS, min(BLOCK_TRIALS, cfg.trials - i))
+        for i in range(0, cfg.trials, BLOCK_TRIALS)
+    ]
 
 
 def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> SimResult:
-    """Estimate the success probability over cfg.trials independent episodes."""
+    """Estimate the success probability over cfg.trials independent episodes.
+
+    Blocks run in a process pool of min(cfg.parallelism, CPU count, blocks)
+    workers; the result does not depend on the pool size.
+    """
     if thresholds.n != spec.n:
         raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
     args = _block_args(spec, thresholds, cfg)
-    if cfg.parallelism == 1 or len(args) == 1:
+    workers = min(cfg.parallelism, os.cpu_count() or 1, len(args))
+    if workers == 1:
         results = [_simulate_block(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_block, args))
     successes = sum(r[0] for r in results)
     queries = sum(r[1] for r in results)

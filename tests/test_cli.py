@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +158,25 @@ def test_simulate_json_shape(tmp_path):
     }
     assert doc["trials"] == 20000 and doc["seed"] == 42
     assert abs(doc["gap_stderr_units"]) < 6
+
+
+def test_simulate_large_n_in_bounded_memory(tmp_path):
+    # Sampling must not grow with n: a block of 8192 permutations of 10**5
+    # would need 6.1 GiB of int64, far past this 1 GiB address-space limit.
+    config = write_config(tmp_path, n=100_000, K=3, p="0.9")
+    limit = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    cp = subprocess.run(
+        [sys.executable, "-m", "secquery", "simulate", "--config", str(config),
+         "--trials", "20000", "--seed", "9"],
+        capture_output=True, text=True, timeout=300, preexec_fn=limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert cp.returncode == 0, cp.stderr[-2000:]
+    assert abs(json.loads(cp.stdout)["gap_stderr_units"]) < 6
 
 
 def test_simulate_zero_trials_is_usage_error(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import random
+import statistics
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from secquery import (
@@ -14,12 +17,15 @@ from secquery import (
     exact_success_probability,
     extract_thresholds,
     monte_carlo,
+    relative_ranks,
+    run_strategy,
     sample_permutation,
     sample_response,
     symmetric_binary_model,
     validate_model,
 )
-from secquery.sim import _block_rng
+from secquery import sim
+from secquery.sim import BLOCK_TRIALS, _block_rng, _next_record
 
 
 def solve(n, K, model, mode=NumericMode.FLOAT64):
@@ -80,6 +86,33 @@ def test_sample_response_uniform_ignores_state():
         assert abs(ones - draws / 2) <= 4 * sigma
 
 
+def test_next_record_tail_law():
+    # P(first record after pos exceeds x) = pos/x; past n the draw reads n + 1.
+    rng = _block_rng(17, 0)
+    draws = 200_000
+    for pos, x, n in ((1, 2, 10**6), (1, 10, 10**6), (5, 7, 7), (50, 200, 10**6), (999, 1000, 1000)):
+        nxt = _next_record(rng, np.full(draws, pos), n)
+        assert nxt.min() > pos and nxt.max() <= n + 1
+        beyond = int(np.count_nonzero(nxt > x))
+        sigma = math.sqrt(draws * (pos / x) * (1 - pos / x))
+        assert abs(beyond - draws * pos / x) <= 4 * sigma, (pos, x, beyond)
+
+
+def test_next_record_extreme_uniforms():
+    class Fixed:
+        def __init__(self, value):
+            self.value = value
+
+        def random(self, size):
+            return np.full(size, self.value)
+
+    pos = np.array([0, 1, 10**6])
+    # U = 1 puts the next record right after pos.
+    assert _next_record(Fixed(0.0), pos, 10**7).tolist() == [1, 2, 10**6 + 1]
+    # U = 2**-53: 10**6 / U is past the int64 range, and no record is left up to n.
+    assert _next_record(Fixed(1 - 2**-53), pos, 10**7).tolist() == [1, 10**7 + 1, 10**7 + 1]
+
+
 def test_sim_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(trials=0, seed=1)
@@ -103,6 +136,35 @@ def test_monte_carlo_parallelism_invariance():
     r1, r8 = monte_carlo(spec, ts, cfg1), monte_carlo(spec, ts, cfg8)
     assert r1 == r8
     assert r1 == monte_carlo(spec, ts, cfg1)  # repeatable
+
+
+def test_monte_carlo_pool_capped_by_cpus_and_blocks(monkeypatch):
+    pool_sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    model = symmetric_binary_model(0.8)
+    spec = ProblemSpec(20, 3, model)
+    _, ts = solve(20, 3, model)
+    serial = monte_carlo(spec, ts, SimConfig(trials=3 * BLOCK_TRIALS, seed=5))
+    huge = SimConfig(trials=3 * BLOCK_TRIALS, seed=5, parallelism=10_000)
+    for cpus in (2, 64, None):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        assert monte_carlo(spec, ts, huge) == serial
+    # 2 CPUs cap the pool at 2, 64 CPUs at the 3 blocks; an unknown count runs in process.
+    assert pool_sizes == [2, 3]
 
 
 def test_monte_carlo_query_accounting():
@@ -129,6 +191,37 @@ def test_monte_carlo_matches_exact_enumeration_asymmetric():
     truth = float(exact_success_probability(spec, ts))
     res = monte_carlo(spec, ts, SimConfig(trials=400_000, seed=11))
     assert abs(res.estimate - truth) <= 4 * res.stderr
+
+
+def test_monte_carlo_matches_permutation_reference():
+    # The record-jump sampler against run_strategy on whole random permutations.
+    # Here r_2 > r_1, so continuing after a query can jump past the drawn record.
+    model = validate_model(
+        3, (Fraction(3, 5), Fraction(1, 4), Fraction(3, 20)), (Fraction(1, 10), Fraction(3, 10), Fraction(3, 5))
+    )
+    spec = ProblemSpec(30, 2, model)
+    _, ts = solve(30, 2, model)
+    assert ts.r[1] > ts.r[0]
+    rng = random.Random(2024)
+    p, q = [float(x) for x in model.p], [float(x) for x in model.q]
+
+    def genie(t, is_best):
+        return rng.choices((1, 2, 3), weights=p if is_best else q)[0]
+
+    episodes = 20_000
+    perm = list(range(1, 31))
+    wins, used = 0, []
+    for _ in range(episodes):
+        rng.shuffle(perm)
+        outcome = run_strategy(ts, relative_ranks(perm), genie)
+        wins += outcome.success
+        used.append(len(outcome.queries_used))
+    res = monte_carlo(spec, ts, SimConfig(trials=400_000, seed=8))
+    # Under the null hypothesis both samples share one variance.
+    scale = math.sqrt(1 / episodes + 1 / res.trials)
+    ref = wins / episodes
+    assert abs(res.estimate - ref) <= 4 * math.sqrt(ref * (1 - ref)) * scale
+    assert abs(res.mean_queries - statistics.fmean(used)) <= 4 * statistics.pstdev(used) * scale
 
 
 def test_monte_carlo_classical_baseline_million():

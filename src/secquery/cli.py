@@ -18,9 +18,9 @@ from .model import (
     NumericMode,
     ProblemSpec,
     ValidationError,
+    parse_prob,
     read_config,
     symmetric_binary_model,
-    validate_model,
 )
 from .oracle import (
     BudgetExceeded,
@@ -83,22 +83,19 @@ def table2_csv(mode: NumericMode = NumericMode.FLOAT64) -> str:
     header = (
         ["p", "r_f"]
         + [f"r_{k}" for k in range(1, K + 1)]
-        + [f"s_{k}(1)" for k in range(1, K + 1)]
-        + [f"s_{k}(2)" for k in range(1, K + 1)]
+        + [f"s_{k}({m})" for m in (1, 2) for k in range(1, K + 1)]
         + ["P_succ"]
     )
     lines = [",".join(header)]
     for literal in TABLE2_P_VALUES:
-        p = Fraction(literal) if mode is NumericMode.EXACT_RATIONAL else float(literal)
-        spec = ProblemSpec(TABLE2_N, K, symmetric_binary_model(p))
+        spec = ProblemSpec(TABLE2_N, K, symmetric_binary_model(parse_prob(literal, mode)))
         tables = compute_tables(spec, mode)
         ts = extract_thresholds(tables)
         grid = pre_query_stop_thresholds(tables)
         cells = (
             [literal, str(ts.r_f)]
             + [str(v) for v in ts.r]
-            + [str(grid[k][0]) for k in range(K)]
-            + [str(grid[k][1]) for k in range(K)]
+            + [str(row[m]) for m in (0, 1) for row in grid]
             + [f"{float(ts.success_probability):.4f}"]
         )
         lines.append(",".join(cells))
@@ -138,13 +135,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.n < 1 or lo < 0 or hi > args.n:
         raise ValidationError(f"K range {lo}:{hi} outside [0, n={args.n}]")
     ks = sorted(set(range(lo, hi + 1)) | {0})  # K=0 baseline always included
+    points = [(parse_prob(literal, args.mode), literal) for literal in p_literals]
     lines = ["p,K,success"]
-    for literal in sorted(p_literals, key=float):
-        p = (
-            Fraction(literal)
-            if args.mode is NumericMode.EXACT_RATIONAL
-            else float(literal)
-        )
+    for p, literal in sorted(points, key=lambda point: float(point[0])):
         model = symmetric_binary_model(p)
         for K in ks:
             tables = compute_tables(ProblemSpec(args.n, K, model), args.mode)
@@ -175,6 +168,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check(name: str, instance: str, expected: object, actual: object) -> dict:
+    return {
+        "name": name,
+        "instance": instance,
+        "expected": str(expected),
+        "actual": str(actual),
+        "pass": actual == expected,
+    }
+
+
 def _lemma_checks(report: LemmaReport, instance: str) -> list[dict]:
     return [
         {
@@ -193,6 +196,8 @@ def _lemma_checks(report: LemmaReport, instance: str) -> list[dict]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     budget = EnumerationBudget()
+    if args.max_n < 1 or args.models < 0:
+        raise UsageError(f"need --max-n >= 1 and --models >= 0, got {args.max_n}, {args.models}")
     if args.max_n > budget.max_n:
         raise BudgetExceeded(f"max_n={args.max_n} exceeds enumeration cap {budget.max_n}")
     rng = random.Random(args.seed)
@@ -208,53 +213,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks.extend(_lemma_checks(report, f"n={n} model#{i}"))
 
     mode = NumericMode.EXACT_RATIONAL
+    name = "strategy-enumeration-matches-solver"
     for i, model in enumerate(suite):
         for n in range(2, min(args.max_n, 6) + 1):
             for K in range(0, min(3, n) + 1):
                 spec = ProblemSpec(n, K, model)
                 tables = compute_tables(spec, mode)
-                ts = extract_thresholds(tables)
-                value = exact_success_probability(spec, ts, budget)
-                checks.append(
-                    {
-                        "name": "strategy-enumeration-matches-solver",
-                        "instance": f"n={n} K={K} model#{i}",
-                        "expected": str(tables.a(0, 0)),
-                        "actual": str(value),
-                        "pass": value == tables.a(0, 0),
-                    }
-                )
+                value = exact_success_probability(spec, extract_thresholds(tables), budget)
+                checks.append(_check(name, f"n={n} K={K} model#{i}", tables.a(0, 0), value))
 
+    name = "exhaustive-policy-search-matches-solver"
     for i, model in enumerate(m for m in suite if m.M == 2):
         for n in range(2, min(args.max_n, 4) + 1):
             for K in range(0, min(2, n) + 1):
                 spec = ProblemSpec(n, K, model)
                 tables = compute_tables(spec, mode)
                 best = exhaustive_optimal(spec, budget)
-                checks.append(
-                    {
-                        "name": "exhaustive-policy-search-matches-solver",
-                        "instance": f"n={n} K={K} model2#{i}",
-                        "expected": str(tables.a(0, 0)),
-                        "actual": str(best),
-                        "pass": best == tables.a(0, 0),
-                    }
-                )
+                checks.append(_check(name, f"n={n} K={K} model2#{i}", tables.a(0, 0), best))
 
-    uniform = validate_model(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+    name = "uninformative-model-collapses-to-classical"
+    uniform = symmetric_binary_model(Fraction(1, 2))
     n = min(args.max_n, 6)
     base = classical_threshold(n, mode)[1]
     for K in range(0, min(3, n) + 1):
         value = compute_tables(ProblemSpec(n, K, uniform), mode).a(0, 0)
-        checks.append(
-            {
-                "name": "uninformative-model-collapses-to-classical",
-                "instance": f"n={n} K={K}",
-                "expected": str(base),
-                "actual": str(value),
-                "pass": value == base,
-            }
-        )
+        checks.append(_check(name, f"n={n} K={K}", base, value))
 
     passed = all(c["pass"] for c in checks)
     _emit(json.dumps({"passed": passed, "checks": checks}, indent=2), args.out)

@@ -133,13 +133,18 @@ class ProblemSpec:
 # core types).  Numbers may be "a/b" strings, which are exact in rational mode.
 
 
-def _parse_prob(x: object, mode: NumericMode) -> Number:
+def parse_prob(x: object, mode: NumericMode) -> Number:
+    """Read one probability literal: a number, or a decimal or 'a/b' string.
+
+    Strings are exact in rational mode and rounded once to float otherwise.
+    """
     if isinstance(x, str):
-        value = Fraction(x)
-        return value if mode is NumericMode.EXACT_RATIONAL else float(value)
-    if isinstance(x, (int, Fraction)):
-        return x
-    if isinstance(x, float):
+        try:
+            value = Fraction(x)
+            return value if mode is NumericMode.EXACT_RATIONAL else float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    elif isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
         return x
     raise ValidationError(f"probability entry {x!r} is not a number or 'a/b' string")
 
@@ -162,12 +167,12 @@ def parse_config(text: str, mode: NumericMode = NumericMode.FLOAT64) -> ProblemS
         if key not in raw:
             raise ValidationError(f"config missing required key {key!r}")
     n, K, M = raw["n"], raw["K"], raw["M"]
-    if not isinstance(n, int) or not isinstance(K, int) or not isinstance(M, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, K, M)):
         raise ValidationError("n, K and M must be integers")
     if not isinstance(raw["p"], list) or not isinstance(raw["q"], list):
         raise ValidationError("p and q must be arrays")
-    p = tuple(_parse_prob(x, mode) for x in raw["p"])
-    q = tuple(_parse_prob(x, mode) for x in raw["q"])
+    p = tuple(parse_prob(x, mode) for x in raw["p"])
+    q = tuple(parse_prob(x, mode) for x in raw["q"])
     labels = raw.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

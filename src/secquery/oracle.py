@@ -63,7 +63,12 @@ class LemmaReport:
 
 
 def _enumerate(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All permutations of 1..n as (rank stream, best arrival time)."""
+    """All permutations of 1..n as (rank stream, best arrival time).
+
+    Relative ranks are recomputed here from their definition rather than
+    taken from ``policy.relative_ranks``: the oracle is the independent
+    reference the strategy code is checked against, so it shares none of it.
+    """
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
         z = tuple(

@@ -19,7 +19,8 @@ so the float path keeps flat regions exact.
 
 The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
-and after all queries stop at the first record time >= r_f.
+and after all queries stop at the first record time >= r_f.  The final stop
+is stage K+1 of the query rule: r_f is the least t with U[K+1][t] >= A[K][t].
 """
 
 from __future__ import annotations
@@ -101,13 +102,10 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
     zero: Number = Fraction(0) if exact else 0.0
     sum_q: Number = sum(q, zero)
 
-    def ratio(t: int) -> Number:
-        return Fraction(t, n) if exact else t / n
-
     A: list[list[Number]] = [[zero] * (n + 1) for _ in range(K + 1)]
-    U: list[list[Number]] = [[zero] * (n + 1) for _ in range(K + 2)]
-    for t in range(n + 1):
-        U[K + 1][t] = ratio(t)
+    U: list[list[Number]] = [[zero] * (n + 1) for _ in range(K + 1)]
+    ratio = [Fraction(t, n) if exact else t / n for t in range(n + 1)]
+    U.append(ratio)  # U[K+1][t] = t/n, the no-query reward; never rewritten
     sum_p: Number = sum(p, zero)
     for k in range(K, -1, -1):
         row = A[k]
@@ -129,7 +127,7 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
             uk = U[k]
             uk[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
             for t in range(1, n + 1):
-                x = ratio(t)
+                x = ratio[t]
                 extra = zero
                 wins = 0
                 for m in range(M):
@@ -163,42 +161,46 @@ def _first_time(n: int, pred) -> int:
     raise AssertionError("threshold inequality must hold at t=n")
 
 
+def _stop_thresholds(tables: ValueTables, lag: int) -> tuple[tuple[int, ...], ...]:
+    """Least t with p(m)*t/n >= q(m)*A[k-lag][t], for each query k and level m.
+
+    t/n is read from the no-query row U[K+1], so both numeric modes compare
+    exactly the values the recursion used.
+    """
+    spec = tables.spec
+    p, q = _coerce(spec.model, tables.mode)
+    ratio = tables.U[spec.K]
+    return tuple(
+        tuple(
+            _first_time(spec.n, lambda t, pm=pm, qm=qm, a=a: pm * ratio[t] >= qm * a[t])
+            for pm, qm in zip(p, q)
+        )
+        for a in tables.A[1 - lag : spec.K + 1 - lag]
+    )
+
+
 def extract_thresholds(tables: ValueTables) -> ThresholdSet:
     """Extract all thresholds as least times satisfying their >= inequalities.
 
     Stage index is the number of queries spent: the k-th query compares
     U[k] against A[k-1], and its stop rule on response m compares
     p(m)*t/n >= q(m)*A[k][t] (the continuation value once the query is
-    charged).  Existence at t=n is guaranteed: U is 1 or p(m) there while
-    A[.][n] = 0.
+    charged).  The final stop is stage K+1 of the query rule, with
+    U[K+1][t] = t/n.  Existence at t=n is guaranteed: U is 1 or p(m) there
+    while A[.][n] = 0.
     """
     spec = tables.spec
-    n, K, M = spec.n, spec.K, spec.model.M
-    exact = tables.mode is NumericMode.EXACT_RATIONAL
-    p, q = _coerce(spec.model, tables.mode)
-
-    def ratio(t: int) -> Number:
-        return Fraction(t, n) if exact else t / n
-
-    r_f = _first_time(n, lambda t: ratio(t) >= tables.a(K, t))
-    r = tuple(
-        _first_time(n, lambda t, k=k: tables.u(k, t) >= tables.a(k - 1, t))
-        for k in range(1, K + 1)
-    )
-    s = tuple(
-        tuple(
-            _first_time(n, lambda t, k=k, m=m: p[m] * ratio(t) >= q[m] * tables.a(k, t))
-            for m in range(M)
-        )
-        for k in range(1, K + 1)
+    # U[k] pairs with A[k-1] for k = 1..K+1; the last pair gives r_f.
+    *r, r_f = (
+        _first_time(spec.n, lambda t, u=u, a=a: u[t] >= a[t]) for u, a in zip(tables.U, tables.A)
     )
     return ThresholdSet(
-        n=n,
-        M=M,
+        n=spec.n,
+        M=spec.model.M,
         r_f=r_f,
-        r=r,
-        s=s,
-        success_probability=tables.a(0, 0),
+        r=tuple(r),
+        s=_stop_thresholds(tables, 0),
+        success_probability=tables.A[0][0],
     )
 
 
@@ -210,21 +212,7 @@ def pre_query_stop_thresholds(tables: ValueTables) -> tuple[tuple[int, ...], ...
     (t >= r_k); below r_k it can differ, and on asymmetric models the
     executable rule in ThresholdSet.s is the one that stays optimal.
     """
-    spec = tables.spec
-    n, K, M = spec.n, spec.K, spec.model.M
-    exact = tables.mode is NumericMode.EXACT_RATIONAL
-    p, q = _coerce(spec.model, tables.mode)
-
-    def ratio(t: int) -> Number:
-        return Fraction(t, n) if exact else t / n
-
-    return tuple(
-        tuple(
-            _first_time(n, lambda t, k=k, m=m: p[m] * ratio(t) >= q[m] * tables.a(k - 1, t))
-            for m in range(M)
-        )
-        for k in range(1, K + 1)
-    )
+    return _stop_thresholds(tables, 1)
 
 
 _UNINFORMATIVE = ResponseModel(1, (1,), (1,))

@@ -1,6 +1,13 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
+
+# CLI tests start `python -m secquery` in child processes; give them the same
+# source tree that pytest's `pythonpath` setting gives this process.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -144,6 +144,30 @@ def test_sweep_k_range_is_validated():
     assert cp.returncode == 1
 
 
+def test_sweep_reads_fraction_literals_like_decimals():
+    rows = {}
+    for literals in ("0.9,0.6", "9/10,3/5"):
+        cp = run_cli("sweep", "--n", "30", "--k-range", "0:3", "--p-values", literals)
+        assert cp.returncode == 0, cp.stderr
+        rows[literals] = [line.split(",")[1:] for line in cp.stdout.splitlines()[1:]]
+    assert rows["0.9,0.6"] == rows["9/10,3/5"]  # sorted by value, same K, success
+
+
+def test_bad_probability_literals_exit_1_without_traceback(tmp_path):
+    for mode in ("float", "rational"):
+        cp = run_cli("sweep", "--n", "10", "--p-values", "0.9,abc", "--mode", mode)
+        assert cp.returncode == 1 and cp.stderr.startswith("error:")
+        assert "Traceback" not in cp.stderr
+        for bad in ("abc", "1/0", "nan"):
+            config = write_config(tmp_path, n=10, K=1, p="1/2")
+            doc = json.loads(config.read_text())
+            doc["p"][0] = bad
+            config.write_text(json.dumps(doc))
+            cp = run_cli("solve", "--config", str(config), "--mode", mode)
+            assert cp.returncode == 1 and cp.stderr.startswith("error:")
+            assert "Traceback" not in cp.stderr
+
+
 def test_simulate_json_shape(tmp_path):
     config = write_config(tmp_path, n=50, K=5, p="0.9")
     cp = run_cli(
@@ -204,6 +228,16 @@ def test_verify_default_suite_at_max_n5():
     doc = json.loads(cp.stdout)
     assert doc["passed"] is True
     assert any(c["name"] == "uninformative-model-collapses-to-classical" for c in doc["checks"])
+
+
+def test_verify_rejects_bad_sizes():
+    for args in (("--max-n", "0"), ("--max-n", "-3"), ("--models", "-2")):
+        cp = run_cli("verify", *args)
+        assert cp.returncode == 1 and cp.stderr.startswith("error:"), args
+        assert "Traceback" not in cp.stderr
+    cp = run_cli("verify", "--max-n", "1", "--models", "0")
+    assert cp.returncode == 0, cp.stderr[-2000:]
+    assert json.loads(cp.stdout)["passed"] is True
 
 
 def test_verify_budget_exceeded_exit_code():

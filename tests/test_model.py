@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -130,3 +131,21 @@ def test_parse_config_rejects_missing_keys_and_bad_json():
         parse_config('{"n": 2}')
     with pytest.raises(ValidationError):
         parse_config("not json")
+
+
+@pytest.mark.parametrize("literal", ["abc", "1/0", "nan", "1e999", "", None])
+def test_parse_config_rejects_bad_probability_literals(literal):
+    text = json.dumps({"n": 3, "K": 1, "M": 2, "p": [literal, "1/2"], "q": ["1/2", "1/2"]})
+    for mode in NumericMode:
+        with pytest.raises(ValidationError):
+            parse_config(text, mode)
+
+
+@pytest.mark.parametrize("key", ["n", "K", "M", "p", "q"])
+def test_parse_config_rejects_booleans(key):
+    # JSON true/false are not the integers 1/0, neither as sizes nor as entries.
+    doc = {"n": 3, "K": 1, "M": 1, "p": [1], "q": [1]}  # valid if true meant 1
+    doc[key] = [True] if key in "pq" else True
+    for mode in NumericMode:
+        with pytest.raises(ValidationError):
+            parse_config(json.dumps(doc), mode)

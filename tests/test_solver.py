@@ -137,6 +137,41 @@ def check_table_orderings(tables, spec):
         assert tables.a(k, 0) >= tables.u(k + 1, 0)
 
 
+def test_each_threshold_is_least_time_of_its_inequality(rng):
+    # Every threshold recomputed from its defining inequality on the tables,
+    # including the pre-query stop rule on asymmetric and float instances.
+    for mode in (RATIONAL, FLOAT):
+        for _ in range(20):
+            spec = random_instance(rng, 40, 8, 4)
+            if mode is FLOAT:
+                spec = ProblemSpec(spec.n, spec.K, as_float_model(spec.model))
+            tables = compute_tables(spec, mode)
+            ts = extract_thresholds(tables)
+            n, K, p, q = spec.n, spec.K, spec.model.p, spec.model.q
+
+            def ratio(t):
+                return Fraction(t, n) if mode is RATIONAL else t / n
+
+            def least(pred):
+                return min(t for t in range(1, n + 1) if pred(t))
+
+            def stops(lag):
+                return tuple(
+                    tuple(
+                        least(lambda t: p[m] * ratio(t) >= q[m] * tables.a(k - lag, t))
+                        for m in range(spec.model.M)
+                    )
+                    for k in range(1, K + 1)
+                )
+
+            assert ts.r_f == least(lambda t: ratio(t) >= tables.a(K, t))
+            assert ts.r == tuple(
+                least(lambda t: tables.u(k, t) >= tables.a(k - 1, t)) for k in range(1, K + 1)
+            )
+            assert ts.s == stops(0)
+            assert pre_query_stop_thresholds(tables) == stops(1)
+
+
 def test_table_ordering_properties_sample(rng):
     for _ in range(25):
         spec = random_instance(rng, 30, 8, 4)

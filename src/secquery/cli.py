@@ -56,13 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _mode(value: str) -> NumericMode:
-    try:
-        return NumericMode(value)
-    except ValueError:
-        raise UsageError(f"--mode must be 'float' or 'rational', got {value!r}") from None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -138,11 +131,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = [(parse_prob(literal, args.mode), literal) for literal in p_literals]
     lines = ["p,K,success"]
     for p, literal in sorted(points, key=lambda point: float(point[0])):
-        model = symmetric_binary_model(p)
+        # Budget K's tables are the last K+1 rows of budget hi's, so one
+        # solve per model gives every K: its value is A[hi-K][0].
+        tables = compute_tables(ProblemSpec(args.n, hi, symmetric_binary_model(p)), args.mode)
         for K in ks:
-            tables = compute_tables(ProblemSpec(args.n, K, model), args.mode)
-            success = float(tables.a(0, 0))
-            lines.append(f"{literal},{K},{success:.10g}")
+            lines.append(f"{literal},{K},{float(tables.a(hi - K, 0)):.10g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -250,19 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute thresholds for a config")
     solve.add_argument("--config", required=True)
-    solve.add_argument("--mode", type=_mode, default=NumericMode.FLOAT64)
+    solve.add_argument("--mode", type=NumericMode, default=NumericMode.FLOAT64)
     solve.add_argument("--tables", help="also write full value tables as CSV")
     solve.add_argument("--out")
 
     table2 = sub.add_parser("table2", help="reproduce the reference threshold grid")
-    table2.add_argument("--mode", type=_mode, default=NumericMode.FLOAT64)
+    table2.add_argument("--mode", type=NumericMode, default=NumericMode.FLOAT64)
     table2.add_argument("--out")
 
     sweep = sub.add_parser("sweep", help="success probability over a (p, K) grid")
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--k-range", default="0:10")
     sweep.add_argument("--p-values", required=True, help="comma-separated reliabilities")
-    sweep.add_argument("--mode", type=_mode, default=NumericMode.FLOAT64)
+    sweep.add_argument("--mode", type=NumericMode, default=NumericMode.FLOAT64)
     sweep.add_argument("--out")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo check of the solved strategy")
@@ -270,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trials", type=int, default=100_000)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--parallelism", type=int, default=1)
-    simulate.add_argument("--mode", type=_mode, default=NumericMode.FLOAT64)
+    simulate.add_argument("--mode", type=NumericMode, default=NumericMode.FLOAT64)
     simulate.add_argument("--out")
 
     verify = sub.add_parser("verify", help="run the exact verification suite")

@@ -9,6 +9,7 @@ from ``q`` otherwise.  All types are immutable after construction.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,6 +22,12 @@ Number = Union[int, float, Fraction]
 # Solver comparisons are threshold-sensitive, so sloppy float inputs are
 # rejected early rather than normalized.
 FLOAT_SUM_TOL = 1e-12
+
+# Largest exponent magnitude a decimal literal may carry.  Fraction("1e-N")
+# builds 10**N, so an 11-character literal can take minutes; a float already
+# reads any exponent beyond about 330 as 0 or inf.
+MAX_LITERAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
 
 
 class ValidationError(ValueError):
@@ -105,8 +112,6 @@ def symmetric_binary_model(p: Number) -> ResponseModel:
     with probability p in both states.  p=1 is the infallible expert, p=1/2
     the uninformative one.
     """
-    if not (0 <= p <= 1):
-        raise ProbabilityOutOfRange(f"p = {p} not in [0,1]")
     one: Number = Fraction(1) if _is_exact(p) else 1.0
     return ResponseModel(2, (p, one - p), (one - p, p))
 
@@ -137,8 +142,14 @@ def parse_prob(x: object, mode: NumericMode) -> Number:
     """Read one probability literal: a number, or a decimal or 'a/b' string.
 
     Strings are exact in rational mode and rounded once to float otherwise.
+    A literal whose exponent exceeds MAX_LITERAL_EXPONENT is refused unparsed.
     """
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and float(exponent.group(1).replace("_", "")) > MAX_LITERAL_EXPONENT:
+            raise ValidationError(
+                f"probability entry {x!r} has an exponent beyond {MAX_LITERAL_EXPONENT}"
+            )
         try:
             value = Fraction(x)
             return value if mode is NumericMode.EXACT_RATIONAL else float(value)
@@ -152,14 +163,12 @@ def parse_prob(x: object, mode: NumericMode) -> Number:
 def parse_config(text: str, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
     """Parse a JSON config into a validated ProblemSpec.
 
-    In rational mode decimal literals are read exactly (0.9 becomes 9/10).
+    Decimal numbers are read like decimal strings, by ``parse_prob``: exactly
+    in rational mode (0.9 becomes 9/10), rounded once to float otherwise.
     """
     try:
-        if mode is NumericMode.EXACT_RATIONAL:
-            raw = json.loads(text, parse_float=Fraction)
-        else:
-            raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_float=str)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")

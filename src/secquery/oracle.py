@@ -2,8 +2,8 @@
 
 Everything here works by enumeration over all n! permutations (and, where the
 expert is involved, over response branches weighted by p/q), in exact rational
-arithmetic by default.  None of it reuses the solver's value recursion; these
-are the independent checks the solver is validated against.
+arithmetic.  None of it reuses the solver's value recursion; these are the
+independent checks the solver is validated against.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .model import Number, NumericMode, ProblemSpec, ResponseModel, validate_model
+from .model import ProblemSpec, ResponseModel, validate_model
 from .policy import HorizonMismatch
 from .solver import ThresholdSet
 
@@ -89,8 +89,7 @@ def exact_success_probability(
     spec: ProblemSpec,
     thresholds: ThresholdSet,
     budget: EnumerationBudget | None = None,
-    mode: NumericMode = NumericMode.EXACT_RATIONAL,
-) -> Number:
+) -> Fraction:
     """Success probability of the given threshold strategy, by enumeration.
 
     Permutation-major: each of the n! rank streams carries weight 1/n!; the
@@ -101,20 +100,13 @@ def exact_success_probability(
     if thresholds.n != spec.n:
         raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
     n, K, M = spec.n, spec.K, spec.model.M
-    exact = mode is NumericMode.EXACT_RATIONAL
-    if exact:
-        p = [Fraction(x) for x in spec.model.p]
-        q = [Fraction(x) for x in spec.model.q]
-        unit: Number = Fraction(1, factorial(n))
-        total: Number = Fraction(0)
-    else:
-        p = [float(x) for x in spec.model.p]
-        q = [float(x) for x in spec.model.q]
-        unit = 1.0 / factorial(n)
-        total = 0.0
+    p = [Fraction(x) for x in spec.model.p]
+    q = [Fraction(x) for x in spec.model.q]
+    unit = Fraction(1, factorial(n))
+    total = Fraction(0)
     r, s, r_f = thresholds.r, thresholds.s, thresholds.r_f
     for z, best in _enumerate(n):
-        stack: list[tuple[int, int, Number]] = [(1, 1, unit)]
+        stack: list[tuple[int, int, Fraction]] = [(1, 1, unit)]
         while stack:
             t, k, w = stack.pop()
             # advance to the next actionable record

@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -85,13 +86,17 @@ def _next_record(rng: np.random.Generator, pos: np.ndarray, n: int) -> np.ndarra
     return np.where(x < n, np.floor(x), n).astype(np.int64) + 1
 
 
-def _simulate_block(args: tuple) -> tuple[int, int, int]:
-    (n, K, M, r_f, r, s, p, q, seed, block_index, block_size) = args
+def _simulate_block(
+    spec: ProblemSpec, thresholds: ThresholdSet, seed: int, block: tuple[int, int]
+) -> tuple[int, int, int]:
+    block_index, block_size = block
+    n, K, M = spec.n, spec.K, spec.model.M
     rng = _block_rng(seed, block_index)
-    gate = np.array([*r, r_f], dtype=np.int64)  # gate[k-1]: first time stage k may act
-    s_arr = np.asarray(s, dtype=np.int64).reshape(K, M)
-    cp = np.cumsum(np.asarray(p, dtype=np.float64))
-    cq = np.cumsum(np.asarray(q, dtype=np.float64))
+    # gate[k-1]: first time stage k may act
+    gate = np.array([*thresholds.r, thresholds.r_f], dtype=np.int64)
+    s_arr = np.asarray(thresholds.s, dtype=np.int64).reshape(K, M)
+    cp = np.cumsum([float(x) for x in spec.model.p])
+    cq = np.cumsum([float(x) for x in spec.model.q])
 
     # cand: the record each live episode acts on at stage k (query k, or the
     # final stop at k = K+1).  Every live episode is at the same stage.
@@ -121,16 +126,6 @@ def _simulate_block(args: tuple) -> tuple[int, int, int]:
     return successes, queries, block_size
 
 
-def _block_args(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> list[tuple]:
-    p = tuple(float(x) for x in spec.model.p)
-    q = tuple(float(x) for x in spec.model.q)
-    head = (spec.n, spec.K, spec.model.M, thresholds.r_f, thresholds.r, thresholds.s, p, q, cfg.seed)
-    return [
-        (*head, i // BLOCK_TRIALS, min(BLOCK_TRIALS, cfg.trials - i))
-        for i in range(0, cfg.trials, BLOCK_TRIALS)
-    ]
-
-
 def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> SimResult:
     """Estimate the success probability over cfg.trials independent episodes.
 
@@ -139,13 +134,17 @@ def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> 
     """
     if thresholds.n != spec.n:
         raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
-    args = _block_args(spec, thresholds, cfg)
-    workers = min(cfg.parallelism, os.cpu_count() or 1, len(args))
+    run_block = partial(_simulate_block, spec, thresholds, cfg.seed)
+    blocks = [
+        (i // BLOCK_TRIALS, min(BLOCK_TRIALS, cfg.trials - i))
+        for i in range(0, cfg.trials, BLOCK_TRIALS)
+    ]
+    workers = min(cfg.parallelism, os.cpu_count() or 1, len(blocks))
     if workers == 1:
-        results = [_simulate_block(a) for a in args]
+        results = [run_block(b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_block, args))
+            results = list(pool.map(run_block, blocks))
     successes = sum(r[0] for r in results)
     queries = sum(r[1] for r in results)
     estimate = successes / cfg.trials

@@ -90,10 +90,10 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
     path rearranges them so every table ordering that is a theorem holds with
     zero tolerance: the A step uses the slack form
     A[k][t] + (U[k+1][t]-A[k][t])_+/t (bit-flat plateaus, stable extraction
-    ties), the U step collapses to its exact value in the two pure regimes
-    (every max picks its p-arm, or none does), and each finished row is
-    max-ratcheted against its neighbors (one more query spent; U >= A and
-    U >= t/n), which is a no-op on the true values.
+    ties), the U step collapses to t/n * sum(p) where every max picks its
+    p-arm, and each finished row is max-ratcheted against its neighbors (one
+    more query spent; U >= A and U >= t/n), which is a no-op on the true
+    values.
     """
     n, K = spec.n, spec.K
     exact = mode is NumericMode.EXACT_RATIONAL
@@ -135,13 +135,11 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
                     if d > zero:
                         extra += d
                         wins += 1
-                # In the pure regimes the sum collapses identically: to t/n
-                # when every max picks its p-arm, to A when none does.  Using
-                # the collapsed values keeps those regions exact in float.
+                # When every max picks its p-arm the sum collapses identically
+                # to t/n * sum(p); using that keeps the region exact in float.
+                # When none does, extra is zero and this is A * sum(q).
                 if wins == M:
                     cand = x * sum_p
-                elif wins == 0:
-                    cand = row[t] * sum_q
                 else:
                     cand = row[t] * sum_q + extra
                 # U >= A and U >= U[next stage] are theorems; same ratchet.

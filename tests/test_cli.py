@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "table2.csv"
+SWEEP_GOLDEN = Path(__file__).parent / "golden" / "sweep.csv"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -139,6 +140,23 @@ def test_sweep_shared_k0_point_and_monotone():
     assert abs(dict(by_p["0.9"])[10] - 0.7055) < 5e-5
 
 
+def test_sweep_matches_golden():
+    golden = SWEEP_GOLDEN.read_text()
+    # A range that starts above 0 keeps the K=0 baseline and the same values.
+    partial = "".join(
+        line
+        for line in golden.splitlines(keepends=True)
+        if line.split(",")[1] in {"K", "0", "4", "5", "6", "7"}
+    )
+    p_values = ("--p-values", "0.50,0.60,0.70,0.80,0.90,0.95,0.98,1.00")
+    for mode in ("float", "rational"):
+        cp = run_cli("sweep", "--n", "100", "--k-range", "0:10", *p_values, "--mode", mode)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == golden
+        cp = run_cli("sweep", "--n", "100", "--k-range", "4:7", *p_values, "--mode", mode)
+        assert cp.stdout == partial
+
+
 def test_sweep_k_range_is_validated():
     cp = run_cli("sweep", "--n", "10", "--k-range", "0:20", "--p-values", "0.9")
     assert cp.returncode == 1
@@ -166,6 +184,42 @@ def test_bad_probability_literals_exit_1_without_traceback(tmp_path):
             cp = run_cli("solve", "--config", str(config), "--mode", mode)
             assert cp.returncode == 1 and cp.stderr.startswith("error:")
             assert "Traceback" not in cp.stderr
+
+
+def test_huge_literal_exponent_exits_1_quickly(tmp_path):
+    # Read exactly, 1e-30000000 would build 10**30000000 (about a minute).
+    config = tmp_path / "config.json"
+    for p in ('"1e-30000000"', "1e-30000000"):
+        config.write_text('{"n": 3, "K": 1, "M": 2, "p": [%s, 1], "q": [0.5, 0.5]}' % p)
+        for mode in ("float", "rational"):
+            cp = subprocess.run(
+                [sys.executable, "-m", "secquery", "solve", "--config", str(config),
+                 "--mode", mode],
+                capture_output=True, text=True, timeout=10,
+            )
+            assert cp.returncode == 1 and cp.stderr.startswith("error:")
+            assert "Traceback" not in cp.stderr
+
+
+def test_overlong_integer_in_config_exits_1(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"n": %s, "K": 1, "M": 1, "p": [1], "q": [1]}' % ("9" * 5001))
+    cp = run_cli("solve", "--config", str(config))
+    assert cp.returncode == 1 and cp.stderr.startswith("error:")
+    assert "Traceback" not in cp.stderr
+
+
+def test_bad_mode_is_usage_error(tmp_path):
+    config = str(write_config(tmp_path, n=10, K=1, p="0.9"))
+    for args in (
+        ("solve", "--config", config),
+        ("table2",),
+        ("sweep", "--n", "10", "--p-values", "0.9"),
+        ("simulate", "--config", config, "--trials", "10"),
+    ):
+        cp = run_cli(*args, "--mode", "bogus")
+        assert cp.returncode == 1 and cp.stderr.startswith("error:"), args
+        assert "Traceback" not in cp.stderr and cp.stdout == ""
 
 
 def test_simulate_json_shape(tmp_path):

@@ -15,6 +15,7 @@ from secquery import (
     symmetric_binary_model,
     validate_model,
 )
+from secquery.model import MAX_LITERAL_EXPONENT, parse_prob
 
 
 def test_validate_infallible_model():
@@ -149,3 +150,30 @@ def test_parse_config_rejects_booleans(key):
     for mode in NumericMode:
         with pytest.raises(ValidationError):
             parse_config(json.dumps(doc), mode)
+
+
+def test_literal_exponents_are_bounded():
+    # Fraction("1e-N") builds 10**N; past the cap the literal is refused unparsed.
+    assert parse_prob("1e-300", NumericMode.FLOAT64) == 1e-300
+    assert parse_prob("1e-300", NumericMode.EXACT_RATIONAL) == Fraction(1, 10**300)
+    edge = f"1e-{MAX_LITERAL_EXPONENT}"
+    assert parse_prob(edge, NumericMode.EXACT_RATIONAL) == Fraction(1, 10**MAX_LITERAL_EXPONENT)
+    for literal in (f"1e-{MAX_LITERAL_EXPONENT + 1}", "1e-30000000", "1E+3_000_000"):
+        for mode in NumericMode:
+            with pytest.raises(ValidationError, match="exponent"):
+                parse_prob(literal, mode)
+    # A JSON number goes through the same literal parser as a string.
+    text = '{"n": 3, "K": 1, "M": 2, "p": [1e-300, 1], "q": [0.5, 0.5]}'
+    assert parse_config(text, NumericMode.FLOAT64).model.p == (1e-300, 1)
+    for mode in NumericMode:
+        with pytest.raises(ValidationError, match="exponent"):
+            parse_config(text.replace("1e-300", "1e-30000000"), mode)
+
+
+def test_parse_config_rejects_overlong_integers():
+    # json.loads refuses integers past the interpreter's digit limit with a
+    # plain ValueError; the config reader reports it as a validation error.
+    text = '{"n": %s, "K": 1, "M": 1, "p": [1], "q": [1]}' % ("9" * 5001)
+    for mode in NumericMode:
+        with pytest.raises(ValidationError):
+            parse_config(text, mode)

@@ -236,3 +236,24 @@ def test_thresholds_json_export():
     assert doc["r"] == [8, 8, 8, 8, 9, 9, 10, 12, 16, 23]
     assert len(doc["s"]) == 10 and len(doc["s"][0]) == 2
     assert doc["success_probability"] == pytest.approx(0.7055, abs=5e-5)
+
+
+def test_smaller_budget_tables_are_tail_rows_of_larger(rng):
+    # Each stage depends only on the queries left, so budget K's A and U tables
+    # are exactly the last K+1 rows of budget hi's; sweep relies on it.
+    for mode in (FLOAT, RATIONAL):
+        for _ in range(12):
+            n = rng.randint(1, 60)
+            hi = rng.randint(0, min(8, n))
+            M = rng.randint(1, 4)
+            if mode is RATIONAL:
+                model = random_dyadic_model(rng, M)
+            else:  # rounded, non-dyadic entries
+                p = [rng.random() + 1e-3 for _ in range(M)]
+                q = [rng.random() + 1e-3 for _ in range(M)]
+                model = validate_model(M, [x / sum(p) for x in p], [x / sum(q) for x in q])
+            big = compute_tables(ProblemSpec(n, hi, model), mode)
+            for K in range(hi + 1):
+                tables = compute_tables(ProblemSpec(n, K, model), mode)
+                assert tables.A == big.A[hi - K :]
+                assert tables.U == big.U[hi - K :]

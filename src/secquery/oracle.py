@@ -4,6 +4,11 @@ Everything here works by enumeration over all n! permutations (and, where the
 expert is involved, over response branches weighted by p/q), in exact rational
 arithmetic.  None of it reuses the solver's value recursion; these are the
 independent checks the solver is validated against.
+
+Branch weights are kept as Python integers: with D the common denominator of
+p and q, a branch that used j queries weighs prod(p*D or q*D) over n!*D^j, so
+sums and comparisons run on integer numerators over one shared denominator,
+and a ``Fraction`` is built only for a result or a reported deviation.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from typing import Callable
 
 from .model import ProblemSpec, ResponseModel, validate_model
 from .policy import HorizonMismatch
@@ -50,6 +56,20 @@ class IdentityCheck:
         if actual != expected and len(self.failures) < 5:
             self.failures.append(f"{instance}: expected {expected}, got {actual}")
 
+    def record_ratio(
+        self, describe: Callable[[], str], expected: Fraction, num: int, den: int
+    ) -> None:
+        """``record(describe(), expected, Fraction(num, den))`` for den > 0.
+
+        Compares by cross-multiplying integers, so a match builds neither a
+        Fraction nor the instance text; a mismatch goes through ``record`` and
+        reports the same exact values.
+        """
+        if num * expected.denominator == expected.numerator * den:
+            self.cases += 1
+        else:
+            self.record(describe(), expected, Fraction(num, den))
+
 
 @dataclass
 class LemmaReport:
@@ -78,6 +98,14 @@ def _enumerate(n: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+def _integer_weights(model: ResponseModel) -> tuple[int, list[int], list[int]]:
+    """(D, P, Q): the least common denominator D of p and q, P = p*D, Q = q*D."""
+    p = [Fraction(x) for x in model.p]
+    q = [Fraction(x) for x in model.q]
+    D = lcm(*(x.denominator for x in p + q))
+    return D, [int(x * D) for x in p], [int(x * D) for x in q]
+
+
 def _guard(n: int, budget: EnumerationBudget | None) -> EnumerationBudget:
     budget = budget or EnumerationBudget()
     if n > budget.max_n:
@@ -94,19 +122,20 @@ def exact_success_probability(
 
     Permutation-major: each of the n! rank streams carries weight 1/n!; the
     walk branches at every query, multiplying the branch weight by p(m) or
-    q(m) according to whether the queried sample is the best.
+    q(m) according to whether the queried sample is the best.  Weights are
+    integers over n!*D^K: a stream starts at D^K and each query trades one
+    factor D for P(m) or Q(m).
     """
     _guard(spec.n, budget)
     if thresholds.n != spec.n:
         raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
     n, K, M = spec.n, spec.K, spec.model.M
-    p = [Fraction(x) for x in spec.model.p]
-    q = [Fraction(x) for x in spec.model.q]
-    unit = Fraction(1, factorial(n))
-    total = Fraction(0)
+    D, P, Q = _integer_weights(spec.model)
+    unit = D**K
+    total = 0
     r, s, r_f = thresholds.r, thresholds.s, thresholds.r_f
     for z, best in _enumerate(n):
-        stack: list[tuple[int, int, Fraction]] = [(1, 1, unit)]
+        stack: list[tuple[int, int, int]] = [(1, 1, unit)]
         while stack:
             t, k, w = stack.pop()
             # advance to the next actionable record
@@ -118,7 +147,8 @@ def exact_success_probability(
             if t > n:
                 continue
             if k <= K:
-                dist = p if t == best else q
+                dist = P if t == best else Q
+                w //= D  # exact: after k-1 queries w still carries D^(K-k+1)
                 for m in range(1, M + 1):
                     wm = w * dist[m - 1]
                     if not wm:
@@ -130,7 +160,7 @@ def exact_success_probability(
                         stack.append((t + 1, k + 1, wm))
             elif t == best:
                 total += w
-    return total
+    return Fraction(total, factorial(n) * unit)
 
 
 def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = None) -> Fraction:
@@ -144,15 +174,17 @@ def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = Non
     """
     budget = _guard(spec.n, budget)
     n, K, M = spec.n, spec.K, spec.model.M
-    p = [Fraction(x) for x in spec.model.p]
-    q = [Fraction(x) for x in spec.model.q]
+    D, P, Q = _integer_weights(spec.model)
     data = _enumerate(n)
-    unit = Fraction(1, factorial(n))
+    unit = D**K
     states = 0
 
     # Values are kept unnormalized: W(history) = P(history) * V(history), so
     # branching is plain summation of child W's and no division is needed.
-    def after_rank(t: int, used: int, items: list[tuple[int, Fraction]]) -> Fraction:
+    # Each W is an integer over n!*D^K; a query trades one factor D of the
+    # weight for P(m) or Q(m), so histories with different query counts
+    # compare on that one scale.
+    def after_rank(t: int, used: int, items: list[tuple[int, int]]) -> int:
         nonlocal states
         states += 1
         if states > budget.max_states:
@@ -160,38 +192,36 @@ def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = Non
         zt = data[items[0][0]][0][t - 1]
         best_w = continue_value(t, used, items)
         if zt == 1:
-            stop_mass = sum((w for i, w in items if data[i][1] == t), Fraction(0))
+            stop_mass = sum(w for i, w in items if data[i][1] == t)
             if stop_mass > best_w:
                 best_w = stop_mass
             if used < K:
-                w_query = Fraction(0)
+                w_query = 0
                 for m in range(M):
                     sub = []
                     for i, w in items:
-                        f = p[m] if data[i][1] == t else q[m]
+                        f = P[m] if data[i][1] == t else Q[m]
                         if f:
-                            sub.append((i, w * f))
+                            sub.append((i, w // D * f))  # exact: used < K
                     if not sub:
                         continue
-                    stop_m = sum((w for i, w in sub if data[i][1] == t), Fraction(0))
+                    stop_m = sum(w for i, w in sub if data[i][1] == t)
                     cont_m = continue_value(t, used + 1, sub)
                     w_query += max(stop_m, cont_m)
                 if w_query > best_w:
                     best_w = w_query
         return best_w
 
-    def continue_value(t: int, used: int, items: list[tuple[int, Fraction]]) -> Fraction:
+    def continue_value(t: int, used: int, items: list[tuple[int, int]]) -> int:
         if t == n:
-            return Fraction(0)
-        groups: dict[int, list[tuple[int, Fraction]]] = {}
+            return 0
+        groups: dict[int, list[tuple[int, int]]] = {}
         for i, w in items:
             groups.setdefault(data[i][0][t], []).append((i, w))
-        return sum(
-            (after_rank(t + 1, used, g) for g in groups.values()), Fraction(0)
-        )
+        return sum(after_rank(t + 1, used, g) for g in groups.values())
 
     all_items = [(i, unit) for i in range(len(data))]
-    return continue_value(0, 0, all_items)
+    return Fraction(continue_value(0, 0, all_items), factorial(n) * unit)
 
 
 # -- distributional identity suites --------------------------------------------
@@ -229,20 +259,20 @@ def verify_lemma1(n: int, budget: EnumerationBudget | None = None) -> LemmaRepor
             prefix_prob.failures.append(
                 f"t={t}: {len(counts)} distinct prefixes, expected {factorial(t)}"
             )
+        prefix, uniform = Fraction(1, factorial(t)), Fraction(1, t)
+        joint, zero = Fraction(1, factorial(t - 1) * n), Fraction(0)
         for key, c in counts.items():
-            prefix_prob.record(f"t={t} prefix={key}", Fraction(1, factorial(t)), Fraction(c, nfact))
-            next_rank.record(
-                f"t={t} prefix={key}",
-                Fraction(1, t),
-                Fraction(c, prev_counts[key[:-1]]),
+            prefix_prob.record_ratio(lambda: f"t={t} prefix={key}", prefix, c, nfact)
+            next_rank.record_ratio(
+                lambda: f"t={t} prefix={key}", uniform, c, prev_counts[key[:-1]]
             )
             row = best_counts.get(key, [0] * (t + 1))
             for t1 in range(1, t + 1):
                 ind = key[t1 - 1] == 1 and all(key[l] > 1 for l in range(t1, t))
-                expected = Fraction(1, factorial(t - 1) * n) if ind else Fraction(0)
-                actual = Fraction(row[t1], nfact)
                 check = joint_now if t1 == t else joint_earlier
-                check.record(f"t={t} t1={t1} prefix={key}", expected, actual)
+                check.record_ratio(
+                    lambda: f"t={t} t1={t1} prefix={key}", joint if ind else zero, row[t1], nfact
+                )
         prev_counts = counts
     return LemmaReport("lemma1", n, [prefix_prob, next_rank, joint_now, joint_earlier])
 
@@ -258,13 +288,25 @@ def verify_lemma2(
     sample's posterior given its response; the response marginal at a record;
     and the next-record probability with its dependence on the most recent
     response through the all-ranks-above-one indicator.
+
+    For one tuple of k query times every branch weight is an integer over the
+    shared denominator n!*D^k, which cancels from each conditional
+    probability, so each is a ratio of integer sums.
     """
-    _guard(n, budget)
-    data = _enumerate(n)
+    budget = _guard(n, budget)
     nfact = factorial(n)
     M = model.M
+    # The master list for k query times holds up to n!*M^k branches; k = n
+    # is the largest, so refuse before building any.
+    if nfact * M**n > budget.max_states:
+        raise BudgetExceeded(
+            f"n!*M^n = {nfact * M**n} branches exceed max_states={budget.max_states}"
+        )
+    data = _enumerate(n)
     p = [Fraction(x) for x in model.p]
     q = [Fraction(x) for x in model.q]
+    _, P, Q = _integer_weights(model)
+    zero = Fraction(0)
     cur_posterior = IdentityCheck("record-posterior")
     query_posterior = IdentityCheck("queried-sample-posterior")
     response_marginal = IdentityCheck("response-marginal")
@@ -272,19 +314,27 @@ def verify_lemma2(
 
     times = list(range(1, n + 1))
     for k in range(1, n + 1):
+        # A response combo's weight depends on the permutation only through
+        # which query (if any) hit the best: weighted[j] lists the nonzero
+        # weights when the j-th did, weighted[k] when none did.
+        weighted = []
+        for j in range(k + 1):
+            entries = []
+            for zeta in itertools.product(range(1, M + 1), repeat=k):
+                w = 1
+                for i, m in enumerate(zeta):
+                    w *= P[m - 1] if i == j else Q[m - 1]
+                if w:
+                    entries.append((zeta, w))
+            weighted.append(entries)
         for tq in itertools.combinations(times, k):
             tk = tq[-1]
             # master list of weighted (perm, response combo) pairs
-            master: list[tuple[tuple[int, ...], int, tuple[int, ...], Fraction]] = []
-            for z, best in data:
-                for zeta in itertools.product(range(1, M + 1), repeat=k):
-                    w = Fraction(1, nfact)
-                    for ti, m in zip(tq, zeta):
-                        w *= p[m - 1] if best == ti else q[m - 1]
-                        if not w:
-                            break
-                    if w:
-                        master.append((z, best, zeta, w))
+            master: list[tuple[tuple[int, ...], int, tuple[int, ...], int]] = [
+                (z, best, zeta, w)
+                for z, best in data
+                for zeta, w in weighted[tq.index(best) if best in tq else k]
+            ]
 
             # record-posterior at every t past the last query
             for t in range(tk + 1, n + 1):
@@ -292,14 +342,14 @@ def verify_lemma2(
                 num: dict = {}
                 for z, best, zeta, w in master:
                     key = (z[:t], zeta)
-                    den[key] = den.get(key, Fraction(0)) + w
+                    den[key] = den.get(key, 0) + w
                     if best == t:
-                        num[key] = num.get(key, Fraction(0)) + w
+                        num[key] = num.get(key, 0) + w
+                at_record = Fraction(t, n)
                 for key, d in den.items():
-                    z_t = key[0][t - 1]
-                    expected = Fraction(t, n) if z_t == 1 else Fraction(0)
-                    cur_posterior.record(
-                        f"tq={tq} zeta={key[1]} t={t}", expected, num.get(key, Fraction(0)) / d
+                    expected = at_record if key[0][t - 1] == 1 else zero
+                    cur_posterior.record_ratio(
+                        lambda: f"tq={tq} zeta={key[1]} t={t}", expected, num.get(key, 0), d
                     )
 
             # queried-sample posterior and response marginal at t = tk
@@ -309,28 +359,33 @@ def verify_lemma2(
             mnum: dict = {}
             for z, best, zeta, w in master:
                 key = (z[:tk], zeta)
-                den[key] = den.get(key, Fraction(0)) + w
+                den[key] = den.get(key, 0) + w
                 if best == tk:
-                    num[key] = num.get(key, Fraction(0)) + w
+                    num[key] = num.get(key, 0) + w
                 if z[tk - 1] == 1:
                     mkey = (z[:tk], zeta[:-1])
-                    mden[mkey] = mden.get(mkey, Fraction(0)) + w
-                    row = mnum.setdefault(mkey, [Fraction(0)] * (M + 1))
+                    mden[mkey] = mden.get(mkey, 0) + w
+                    row = mnum.setdefault(mkey, [0] * (M + 1))
                     row[zeta[-1]] += w
+            # A level with p(m)*tk + q(m)*(n-tk) = 0 never answers at a record.
+            posterior = [
+                Fraction(pm * tk, pm * tk + qm * (n - tk)) if pm * tk + qm * (n - tk) else None
+                for pm, qm in zip(p, q)
+            ]
             for key, d in den.items():
                 zk = key[1][-1]
-                if key[0][tk - 1] == 1:
-                    expected = Fraction(p[zk - 1] * tk, p[zk - 1] * tk + q[zk - 1] * (n - tk))
-                else:
-                    expected = Fraction(0)
-                query_posterior.record(
-                    f"tq={tq} zeta={key[1]}", expected, num.get(key, Fraction(0)) / d
+                expected = posterior[zk - 1] if key[0][tk - 1] == 1 else zero
+                query_posterior.record_ratio(
+                    lambda: f"tq={tq} zeta={key[1]}", expected, num.get(key, 0), d
                 )
+            marginal = [pm * Fraction(tk, n) + qm * (1 - Fraction(tk, n)) for pm, qm in zip(p, q)]
             for mkey, d in mden.items():
                 for m in range(1, M + 1):
-                    expected = p[m - 1] * Fraction(tk, n) + q[m - 1] * (1 - Fraction(tk, n))
-                    response_marginal.record(
-                        f"tq={tq} zeta_prefix={mkey[1]} m={m}", expected, mnum[mkey][m] / d
+                    response_marginal.record_ratio(
+                        lambda: f"tq={tq} zeta_prefix={mkey[1]} m={m}",
+                        marginal[m - 1],
+                        mnum[mkey][m],
+                        d,
                     )
 
             # next-record probability for every t past the last query
@@ -341,19 +396,25 @@ def verify_lemma2(
                     if z[tk - 1] != 1:
                         continue
                     key = (z[: t - 1], zeta)
-                    den[key] = den.get(key, Fraction(0)) + w
+                    den[key] = den.get(key, 0) + w
                     if z[t - 1] == 1:
-                        num[key] = num.get(key, Fraction(0)) + w
+                        num[key] = num.get(key, 0) + w
+                # expected[m - 1] when every rank since tk exceeds one, else
+                # the uncorrected 1/t; inert levels (p = q = 0) get None.
+                uncorrected = Fraction(1, t)
+                corrected = [
+                    uncorrected
+                    * (1 - Fraction((t - 1) * (pk - qk), pk * (t - 1) + qk * (n - t + 1)))
+                    if pk or qk
+                    else None
+                    for pk, qk in zip(p, q)
+                ]
                 for key, d in den.items():
                     zk = key[1][-1]
-                    pk, qk = p[zk - 1], q[zk - 1]
                     ind = all(key[0][l] > 1 for l in range(tk, t - 1))
-                    corr = Fraction(0)
-                    if ind:
-                        corr = Fraction((t - 1) * (pk - qk), pk * (t - 1) + qk * (n - t + 1))
-                    expected = Fraction(1, t) * (1 - corr)
-                    next_record.record(
-                        f"tq={tq} zeta={key[1]} t={t}", expected, num.get(key, Fraction(0)) / d
+                    expected = corrected[zk - 1] if ind else uncorrected
+                    next_record.record_ratio(
+                        lambda: f"tq={tq} zeta={key[1]} t={t}", expected, num.get(key, 0), d
                     )
     return LemmaReport(
         "lemma2", n, [cur_posterior, query_posterior, response_marginal, next_record]

@@ -33,6 +33,12 @@ from .model import Number, NumericMode, ProblemSpec, ResponseModel, ValidationEr
 
 Row = tuple[Number, ...]
 
+# Largest solve compute_tables accepts, counted in table cells: A has K+1
+# rows and U has K+2 (the t/n row included), each of n+1 cells.  A float
+# solve of 7*10**6 cells (n = 10**6, K = 2) peaks near 0.3 GB; past the cap
+# a solve is refused before allocating instead of running out of memory.
+MAX_TABLE_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class ValueTables:
@@ -93,9 +99,15 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
     ties), the U step collapses to t/n * sum(p) where every max picks its
     p-arm, and each finished row is max-ratcheted against its neighbors (one
     more query spent; U >= A and U >= t/n), which is a no-op on the true
-    values.
+    values.  Instances needing more than MAX_TABLE_CELLS cells are refused
+    with a ValidationError before anything is allocated.
     """
     n, K = spec.n, spec.K
+    cells = (2 * K + 3) * (n + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ValidationError(
+            f"n={n}, K={K} needs {cells} table cells, above MAX_TABLE_CELLS={MAX_TABLE_CELLS}"
+        )
     exact = mode is NumericMode.EXACT_RATIONAL
     p, q = _coerce(spec.model, mode)
     M = spec.model.M

@@ -302,3 +302,49 @@ def test_verify_budget_exceeded_exit_code():
 def test_usage_error_unknown_flag():
     cp = run_cli("solve", "--nonsense")
     assert cp.returncode == 1
+
+
+def test_oversized_solve_is_refused_before_allocating(tmp_path):
+    # (2K+3)(n+1) cells of 10**8 x 2 would need several GB; the cap refuses
+    # the instance well inside this 1 GiB address-space limit.
+    config = write_config(tmp_path, n=10**8, K=2, p="0.9")
+    limit = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    for args in (
+        ("solve", "--config", str(config)),
+        ("simulate", "--config", str(config), "--trials", "10"),
+        ("sweep", "--n", str(10**8), "--k-range", "0:2", "--p-values", "0.9"),
+    ):
+        cp = subprocess.run(
+            [sys.executable, "-m", "secquery", *args],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert cp.returncode == 1, (args, cp.stderr[-2000:])
+        assert cp.stderr.startswith("error:") and "MAX_TABLE_CELLS" in cp.stderr, args
+        assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+def test_verify_failure_exits_2_with_exact_deviation(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from secquery import cli
+    from secquery.oracle import IdentityCheck, LemmaReport
+
+    def failing_lemma2(n, model, budget=None):
+        check = IdentityCheck("record-posterior")
+        check.record("tq=(1,) zeta=(2,) t=3", Fraction(3, 4), Fraction(2, 3))
+        return LemmaReport("lemma2", n, [check])
+
+    monkeypatch.setattr(cli, "verify_lemma2", failing_lemma2)
+    assert cli.main(["verify", "--max-n", "3", "--models", "1"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["lemma2/record-posterior"]
+    assert failed[0]["actual"] == (
+        "worst deviation 8.333e-02; e.g. tq=(1,) zeta=(2,) t=3: expected 3/4, got 2/3"
+    )

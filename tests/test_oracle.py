@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -20,11 +21,20 @@ from secquery import (
     verify_lemma1,
     verify_lemma2,
 )
+from secquery.oracle import IdentityCheck
+from secquery.solver import ThresholdSet
 
 RATIONAL = NumericMode.EXACT_RATIONAL
 
 INFALLIBLE = validate_model(2, (1, 0), (0, 1))
 UNIFORM = validate_model(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+THREE = validate_model(
+    3,
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(1, 8), Fraction(3, 8), Fraction(1, 2)),
+)
+TWO = validate_model(2, (Fraction(5, 7), Fraction(2, 7)), (Fraction(1, 6), Fraction(5, 6)))
+FLOAT09 = symmetric_binary_model(0.9)  # float entries: exact denominators are powers of two
 
 
 def solved(n, K, model):
@@ -241,3 +251,83 @@ def test_lemma2_uniform_next_record_is_uniform():
 def test_lemma2_budget():
     with pytest.raises(BudgetExceeded):
         verify_lemma2(9, UNIFORM)
+
+
+def test_lemma2_branch_budget():
+    # n=4 with three levels: the k=4 master list holds 4! * 3^4 branches.
+    assert verify_lemma2(4, THREE, EnumerationBudget(max_states=24 * 81)).passed
+    with pytest.raises(BudgetExceeded):
+        verify_lemma2(4, THREE, EnumerationBudget(max_states=24 * 81 - 1))
+    # 7! * 3^7 = 11 022 480 branches: refused up front under the default budget.
+    with pytest.raises(BudgetExceeded):
+        verify_lemma2(7, THREE)
+
+
+# -- integer comparison path ------------------------------------------------------
+
+
+def test_record_ratio_matches_record():
+    rng = random.Random(20261018)
+    by_ratio, by_fraction = IdentityCheck("ratio"), IdentityCheck("fraction")
+    for i in range(200):
+        den = rng.randint(1, 10**6)
+        num = rng.randint(0, den)
+        expected = Fraction(rng.randint(0, 50), rng.randint(1, 50))
+        if expected == Fraction(num, den):
+            continue
+        by_ratio.record_ratio(lambda: f"case {i}", expected, num, den)
+        by_fraction.record(f"case {i}", expected, Fraction(num, den))
+    assert by_ratio.cases == by_fraction.cases > 100
+    assert by_ratio.failures == by_fraction.failures and len(by_ratio.failures) == 5
+    assert type(by_ratio.worst_deviation) is Fraction
+    assert by_ratio.worst_deviation == by_fraction.worst_deviation > 0
+
+    matching = IdentityCheck("matching")
+    for _ in range(200):
+        expected = Fraction(rng.randint(0, 50), rng.randint(1, 50))
+        scale = rng.randint(1, 10**9)
+        num, den = expected.numerator * scale, expected.denominator * scale
+        matching.record_ratio(lambda: "never built", expected, num, den)
+    assert matching.cases == 200 and matching.passed
+    assert matching.worst_deviation == 0
+
+
+# -- return types and values of the strategy oracles ------------------------------
+#
+# The expected values were computed by the earlier enumeration that carried
+# every branch weight as a Fraction; the integer-weight one must match them.
+
+
+def test_exact_success_probability_values_and_type():
+    def optimal(n, K, model, mode=RATIONAL):
+        return extract_thresholds(compute_tables(ProblemSpec(n, K, model), mode))
+
+    cases = [
+        (1, 0, UNIFORM, optimal(1, 0, UNIFORM), "1"),
+        (1, 1, INFALLIBLE, optimal(1, 1, INFALLIBLE), "1"),
+        (4, 1, INFALLIBLE, optimal(4, 1, INFALLIBLE), "17/24"),
+        (
+            5, 2, FLOAT09, optimal(5, 2, FLOAT09, NumericMode.FLOAT64),
+            "7381985799345062277707783911338151/9735556609752801803494680617287680",
+        ),
+        (5, 2, THREE, optimal(5, 2, THREE), "709/1280"),
+        (6, 3, TWO, optimal(6, 3, TWO), "32717/54432"),
+        # hand-made, non-monotone thresholds
+        (5, 2, TWO, ThresholdSet(5, 2, 3, (4, 2), ((5, 1), (2, 5)), 0), "181/840"),
+    ]
+    for n, K, model, ts, value in cases:
+        got = exact_success_probability(ProblemSpec(n, K, model), ts)
+        assert type(got) is Fraction and got == Fraction(value), (n, K, model)
+
+
+def test_exhaustive_optimal_values_and_type():
+    cases = [
+        (1, 0, UNIFORM, "1"),
+        (4, 1, FLOAT09, "139611588448485379/216172782113783808"),
+        (4, 2, TWO, "3905/6048"),
+        (4, 1, THREE, "101/192"),
+        (5, 1, TWO, "941/1680"),
+    ]
+    for n, K, model, value in cases:
+        got = exhaustive_optimal(ProblemSpec(n, K, model))
+        assert type(got) is Fraction and got == Fraction(value), (n, K, model)

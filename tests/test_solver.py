@@ -257,3 +257,17 @@ def test_smaller_budget_tables_are_tail_rows_of_larger(rng):
                 tables = compute_tables(ProblemSpec(n, K, model), mode)
                 assert tables.A == big.A[hi - K :]
                 assert tables.U == big.U[hi - K :]
+
+
+def test_table_cell_cap_is_exact(monkeypatch):
+    from secquery import solver
+
+    model = symmetric_binary_model(Fraction(9, 10))
+    # n=9, K=2: (2K+3)(n+1) = 70 cells.
+    monkeypatch.setattr(solver, "MAX_TABLE_CELLS", 70)
+    for mode in (FLOAT, RATIONAL):
+        assert compute_tables(ProblemSpec(9, 2, model), mode).spec.n == 9
+        with pytest.raises(ValidationError, match="MAX_TABLE_CELLS"):
+            compute_tables(ProblemSpec(10, 2, model), mode)
+    with pytest.raises(ValidationError, match="MAX_TABLE_CELLS"):
+        classical_threshold(69)

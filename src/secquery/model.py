@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from pathlib import Path
 from typing import Sequence, Union
@@ -98,6 +99,13 @@ class ResponseModel:
     def exact(self) -> bool:
         """True when every entry is an int or Fraction."""
         return all(_is_exact(x) for x in self.p + self.q)
+
+    def integer_weights(self) -> tuple[int, list[int], list[int]]:
+        """(D, P, Q): the least common denominator D of p and q, P = p*D, Q = q*D."""
+        p = [Fraction(x) for x in self.p]
+        q = [Fraction(x) for x in self.q]
+        D = lcm(*(x.denominator for x in p + q))
+        return D, [int(x * D) for x in p], [int(x * D) for x in q]
 
 
 def validate_model(M: int, p: Sequence[Number], q: Sequence[Number]) -> ResponseModel:

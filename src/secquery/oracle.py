@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Callable
 
 from .model import ProblemSpec, ResponseModel, validate_model
@@ -98,14 +98,6 @@ def _enumerate(n: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _integer_weights(model: ResponseModel) -> tuple[int, list[int], list[int]]:
-    """(D, P, Q): the least common denominator D of p and q, P = p*D, Q = q*D."""
-    p = [Fraction(x) for x in model.p]
-    q = [Fraction(x) for x in model.q]
-    D = lcm(*(x.denominator for x in p + q))
-    return D, [int(x * D) for x in p], [int(x * D) for x in q]
-
-
 def _guard(n: int, budget: EnumerationBudget | None) -> EnumerationBudget:
     budget = budget or EnumerationBudget()
     if n > budget.max_n:
@@ -130,7 +122,7 @@ def exact_success_probability(
     if thresholds.n != spec.n:
         raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
     n, K, M = spec.n, spec.K, spec.model.M
-    D, P, Q = _integer_weights(spec.model)
+    D, P, Q = spec.model.integer_weights()
     unit = D**K
     total = 0
     r, s, r_f = thresholds.r, thresholds.s, thresholds.r_f
@@ -174,7 +166,7 @@ def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = Non
     """
     budget = _guard(spec.n, budget)
     n, K, M = spec.n, spec.K, spec.model.M
-    D, P, Q = _integer_weights(spec.model)
+    D, P, Q = spec.model.integer_weights()
     data = _enumerate(n)
     unit = D**K
     states = 0
@@ -305,7 +297,7 @@ def verify_lemma2(
     data = _enumerate(n)
     p = [Fraction(x) for x in model.p]
     q = [Fraction(x) for x in model.q]
-    _, P, Q = _integer_weights(model)
+    _, P, Q = model.integer_weights()
     zero = Fraction(0)
     cur_posterior = IdentityCheck("record-posterior")
     query_posterior = IdentityCheck("queried-sample-posterior")

@@ -14,8 +14,9 @@ The recursion runs k = K..0; building ``A[k]`` needs the already-built
     A[k][t-1] = A[k][t]*(1 - 1/t) + max(U[k+1][t], A[k][t])*(1/t)
     U[k][t]   = sum_m max(p(m)*t/n, q(m)*A[k][t])
 
-evaluated in an algebraically identical slack form (see ``compute_tables``)
-so the float path keeps flat regions exact.
+Exact mode evaluates them as written.  The float path uses an algebraically
+identical slack form with ratchets (see ``compute_tables``) so that flat
+regions stay exact and every table ordering holds without tolerance.
 
 The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
@@ -26,6 +27,7 @@ is stage K+1 of the query rule: r_f is the least t with U[K+1][t] >= A[K][t].
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +40,13 @@ Row = tuple[Number, ...]
 # solve of 7*10**6 cells (n = 10**6, K = 2) peaks near 0.3 GB; past the cap
 # a solve is refused before allocating instead of running out of memory.
 MAX_TABLE_CELLS = 10_000_000
+
+# Largest exact-rational solve, counted as table cells times n.  Exact values
+# carry denominators of thousands of bits, so the cost of a row grows faster
+# than n**2: on a 2-vCPU VM n = 1000, K = 10 (2.3e7) takes about 1 s,
+# n = 4000, K = 2 (1.1e8) 3 s and n = K = 390 (1.2e8) 7 s, while n = 20000,
+# K = 2 (2.8e9) would run for minutes.  Float solves are not bound by it.
+MAX_RATIONAL_WORK = 120_000_000
 
 
 @dataclass(frozen=True)
@@ -78,29 +87,24 @@ class ThresholdSet:
         return len(self.r)
 
 
-def _coerce(model: ResponseModel, mode: NumericMode) -> tuple[tuple[Number, ...], tuple[Number, ...]]:
-    if mode is NumericMode.EXACT_RATIONAL:
-        if not model.exact:
-            raise ValidationError(
-                "exact-rational solve requires exact model probabilities; "
-                "use ints, Fractions, or 'a/b' strings in the config"
-            )
-        return tuple(Fraction(x) for x in model.p), tuple(Fraction(x) for x in model.q)
+def _float_weights(model: ResponseModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(float(x) for x in model.p), tuple(float(x) for x in model.q)
 
 
 def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
     """Fill the A and U tables by the double backward recursion.
 
-    Exact-arithmetic values match the defining formulas everywhere.  The float
-    path rearranges them so every table ordering that is a theorem holds with
-    zero tolerance: the A step uses the slack form
-    A[k][t] + (U[k+1][t]-A[k][t])_+/t (bit-flat plateaus, stable extraction
-    ties), the U step collapses to t/n * sum(p) where every max picks its
-    p-arm, and each finished row is max-ratcheted against its neighbors (one
-    more query spent; U >= A and U >= t/n), which is a no-op on the true
-    values.  Instances needing more than MAX_TABLE_CELLS cells are refused
-    with a ValidationError before anything is allocated.
+    Exact mode evaluates the defining recursion of the module docstring
+    as written (see ``_exact_rows``).  The float path rearranges it so every
+    table ordering that is a theorem holds with zero tolerance: the A step
+    uses the slack form A[k][t] + (U[k+1][t]-A[k][t])_+/t (bit-flat plateaus,
+    stable extraction ties), the U step collapses to t/n * sum(p) where every
+    max picks its p-arm, and each finished row is max-ratcheted against its
+    neighbors (one more query spent; U >= A and U >= t/n).  All three are
+    float-only: on the true values they change nothing.  Instances needing
+    more than MAX_TABLE_CELLS cells, and exact solves above
+    MAX_RATIONAL_WORK, are refused with a ValidationError before anything is
+    allocated.
     """
     n, K = spec.n, spec.K
     cells = (2 * K + 3) * (n + 1)
@@ -108,17 +112,75 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
         raise ValidationError(
             f"n={n}, K={K} needs {cells} table cells, above MAX_TABLE_CELLS={MAX_TABLE_CELLS}"
         )
-    exact = mode is NumericMode.EXACT_RATIONAL
-    p, q = _coerce(spec.model, mode)
-    M = spec.model.M
-    zero: Number = Fraction(0) if exact else 0.0
-    sum_q: Number = sum(q, zero)
+    if mode is NumericMode.EXACT_RATIONAL:
+        if not spec.model.exact:
+            raise ValidationError(
+                "exact-rational solve requires exact model probabilities; "
+                "use ints, Fractions, or 'a/b' strings in the config"
+            )
+        work = cells * n
+        if work > MAX_RATIONAL_WORK:
+            raise ValidationError(
+                f"rational solve of n={n}, K={K} needs cells*n = {work}, above "
+                f"MAX_RATIONAL_WORK={MAX_RATIONAL_WORK}; solve it in float mode"
+            )
+        A, U = _exact_rows(spec)
+    else:
+        A, U = _float_rows(spec)
+    return ValueTables(
+        A=tuple(tuple(r) for r in A),
+        U=tuple(tuple(r) for r in U[1:]),
+        spec=spec,
+        mode=mode,
+    )
 
-    A: list[list[Number]] = [[zero] * (n + 1) for _ in range(K + 1)]
-    U: list[list[Number]] = [[zero] * (n + 1) for _ in range(K + 1)]
-    ratio = [Fraction(t, n) if exact else t / n for t in range(n + 1)]
+
+def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """A[0..K] and U[0..K+1] rows (U[0] unused) in exact rationals.
+
+    The A step is A[t-1] = (A[t]*(t-1) + U[t]) / t where U[t] > A[t], and
+    A[t] otherwise.  In the U step each max is decided by an integer
+    comparison (``_p_arm_wins``) and the arms it picks are summed at once,
+    t/n * sum(winning p) + A * sum(winning q).
+    """
+    n, K = spec.n, spec.K
+    D, P, Q = spec.model.integer_weights()
+    zero = Fraction(0)
+    A = [[zero] * (n + 1) for _ in range(K + 1)]
+    U = [[zero] * (n + 1) for _ in range(K + 1)]
+    U.append([Fraction(t, n) for t in range(n + 1)])  # U[K+1][t] = t/n, the no-query reward
+    for k in range(K, -1, -1):
+        row, up = A[k], U[k + 1]
+        for t in range(n, 1, -1):
+            a, u = row[t], up[t]
+            row[t - 1] = (a * (t - 1) + u) / t if u > a else a
+        row[0] = max(up[1], row[1])
+        if k >= 1:
+            uk = U[k]
+            for t in range(n + 1):
+                a = row[t]
+                sum_p = sum_q = 0
+                for Pm, Qm in zip(P, Q):
+                    if _p_arm_wins(Pm, Qm, n, t, a):
+                        sum_p += Pm
+                    else:
+                        sum_q += Qm
+                uk[t] = Fraction(t * sum_p, n * D) + a * Fraction(sum_q, D)
+    return A, U
+
+
+def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]]:
+    """A[0..K] and U[0..K+1] rows (U[0] unused) in IEEE doubles."""
+    n, K = spec.n, spec.K
+    p, q = _float_weights(spec.model)
+    M = spec.model.M
+    sum_q = sum(q, 0.0)
+
+    A = [[0.0] * (n + 1) for _ in range(K + 1)]
+    U = [[0.0] * (n + 1) for _ in range(K + 1)]
+    ratio = [t / n for t in range(n + 1)]
     U.append(ratio)  # U[K+1][t] = t/n, the no-query reward; never rewritten
-    sum_p: Number = sum(p, zero)
+    sum_p = sum(p, 0.0)
     for k in range(K, -1, -1):
         row = A[k]
         up = U[k + 1]
@@ -127,9 +189,9 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
             # Slack form of the t-step: exact (no drift) wherever U <= A, so
             # flat stretches of A stay bit-flat and extraction ties are stable.
             gain = up[t] - row[t]
-            cand = row[t] + gain / t if gain > zero else row[t]
+            cand = row[t] + gain / t if gain > 0.0 else row[t]
             # Ratcheting against the already-built row with one more query
-            # spent is a no-op in exact arithmetic (the inequality is a
+            # spent is a no-op on the true values (the inequality is a
             # theorem); in float it pins the stage ordering where the true
             # gap is below one ulp.
             row[t - 1] = cand if below is None else max(cand, below[t - 1])
@@ -140,11 +202,11 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
             uk[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
             for t in range(1, n + 1):
                 x = ratio[t]
-                extra = zero
+                extra = 0.0
                 wins = 0
                 for m in range(M):
                     d = p[m] * x - q[m] * row[t]
-                    if d > zero:
+                    if d > 0.0:
                         extra += d
                         wins += 1
                 # When every max picks its p-arm the sum collapses identically
@@ -156,12 +218,16 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
                     cand = row[t] * sum_q + extra
                 # U >= A and U >= U[next stage] are theorems; same ratchet.
                 uk[t] = max(cand, row[t], up[t])
-    return ValueTables(
-        A=tuple(tuple(r) for r in A),
-        U=tuple(tuple(r) for r in U[1:]),
-        spec=spec,
-        mode=mode,
-    )
+    return A, U
+
+
+def _p_arm_wins(Pm: int, Qm: int, n: int, t: int, a: Fraction) -> bool:
+    """p(m)*t/n >= q(m)*a, compared in integers: P = p*D and Q = q*D."""
+    return Pm * t * a.denominator >= Qm * n * a.numerator
+
+
+def _fraction_geq(x: Fraction, y: Fraction) -> bool:
+    return x.numerator * y.denominator >= y.numerator * x.denominator
 
 
 def _first_time(n: int, pred) -> int:
@@ -174,17 +240,27 @@ def _first_time(n: int, pred) -> int:
 def _stop_thresholds(tables: ValueTables, lag: int) -> tuple[tuple[int, ...], ...]:
     """Least t with p(m)*t/n >= q(m)*A[k-lag][t], for each query k and level m.
 
-    t/n is read from the no-query row U[K+1], so both numeric modes compare
-    exactly the values the recursion used.
+    Exact tables compare integers (``_p_arm_wins``), the rule the U step
+    used.  Float tables read t/n from the no-query row U[K+1], so they too
+    compare exactly the values the recursion used.
     """
     spec = tables.spec
-    p, q = _coerce(spec.model, tables.mode)
-    ratio = tables.U[spec.K]
+    n = spec.n
+    if tables.mode is NumericMode.EXACT_RATIONAL:
+        _, p, q = spec.model.integer_weights()
+
+        def stop(pm, qm, a):
+            return lambda t: _p_arm_wins(pm, qm, n, t, a[t])
+
+    else:
+        p, q = _float_weights(spec.model)
+        ratio = tables.U[spec.K]
+
+        def stop(pm, qm, a):
+            return lambda t: pm * ratio[t] >= qm * a[t]
+
     return tuple(
-        tuple(
-            _first_time(spec.n, lambda t, pm=pm, qm=qm, a=a: pm * ratio[t] >= qm * a[t])
-            for pm, qm in zip(p, q)
-        )
+        tuple(_first_time(n, stop(pm, qm, a)) for pm, qm in zip(p, q))
         for a in tables.A[1 - lag : spec.K + 1 - lag]
     )
 
@@ -200,9 +276,11 @@ def extract_thresholds(tables: ValueTables) -> ThresholdSet:
     while A[.][n] = 0.
     """
     spec = tables.spec
+    geq = _fraction_geq if tables.mode is NumericMode.EXACT_RATIONAL else operator.ge
     # U[k] pairs with A[k-1] for k = 1..K+1; the last pair gives r_f.
     *r, r_f = (
-        _first_time(spec.n, lambda t, u=u, a=a: u[t] >= a[t]) for u, a in zip(tables.U, tables.A)
+        _first_time(spec.n, lambda t, u=u, a=a: geq(u[t], a[t]))
+        for u, a in zip(tables.U, tables.A)
     )
     return ThresholdSet(
         n=spec.n,

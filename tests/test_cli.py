@@ -348,3 +348,21 @@ def test_verify_failure_exits_2_with_exact_deviation(monkeypatch, capsys):
     assert failed[0]["actual"] == (
         "worst deviation 8.333e-02; e.g. tq=(1,) zeta=(2,) t=3: expected 3/4, got 2/3"
     )
+
+
+def test_oversized_rational_solve_is_refused_at_once(tmp_path):
+    # An exact solve at n = 20000, K = 2 would run for minutes; the
+    # MAX_RATIONAL_WORK cap refuses it before any table is built.
+    config = str(write_config(tmp_path, n=20_000, K=2, p="9/10"))
+    for args in (
+        ("solve", "--config", config),
+        ("simulate", "--config", config, "--trials", "10"),
+        ("sweep", "--n", "20000", "--k-range", "0:2", "--p-values", "0.9"),
+    ):
+        cp = subprocess.run(
+            [sys.executable, "-m", "secquery", *args, "--mode", "rational"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert cp.returncode == 1, (args, cp.stderr[-2000:])
+        assert cp.stderr.startswith("error:") and "MAX_RATIONAL_WORK" in cp.stderr, args
+        assert "Traceback" not in cp.stderr and cp.stdout == ""

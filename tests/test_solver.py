@@ -13,6 +13,7 @@ from secquery import (
     exact_success_probability,
     extract_thresholds,
     pre_query_stop_thresholds,
+    random_exact_model,
     symmetric_binary_model,
     tables_to_csv,
     thresholds_to_json,
@@ -271,3 +272,81 @@ def test_table_cell_cap_is_exact(monkeypatch):
             compute_tables(ProblemSpec(10, 2, model), mode)
     with pytest.raises(ValidationError, match="MAX_TABLE_CELLS"):
         classical_threshold(69)
+
+
+def _literal_tables(spec):
+    """The module docstring's recursion transcribed as written, in Fractions."""
+    n, K = spec.n, spec.K
+    p = [Fraction(x) for x in spec.model.p]
+    q = [Fraction(x) for x in spec.model.q]
+    A = [[Fraction(0)] * (n + 1) for _ in range(K + 1)]
+    U = {K + 1: [Fraction(t, n) for t in range(n + 1)]}
+    for k in range(K, -1, -1):
+        for t in range(n, 0, -1):
+            step = Fraction(1, t)
+            A[k][t - 1] = A[k][t] * (1 - step) + max(U[k + 1][t], A[k][t]) * step
+        if k >= 1:
+            U[k] = [
+                sum((max(pm * Fraction(t, n), qm * A[k][t]) for pm, qm in zip(p, q)), Fraction(0))
+                for t in range(n + 1)
+            ]
+    return tuple(map(tuple, A)), tuple(tuple(U[k]) for k in range(1, K + 2))
+
+
+def test_exact_tables_are_the_literal_recursion(rng):
+    for i in range(40):
+        n = rng.randint(2, 60)
+        K = rng.randint(0, min(8, n))
+        M = rng.choice((2, 3, 4))
+        if i % 2:
+            model = random_dyadic_model(rng, M)
+        else:
+            model = random_exact_model(rng, M, denominator=rng.randint(2, 40))
+        spec = ProblemSpec(n, K, model)
+        tables = compute_tables(spec, RATIONAL)
+        assert (tables.A, tables.U) == _literal_tables(spec), (n, K, model)
+        check_table_orderings(tables, spec)
+
+
+def _misreads_are_ties(n, got, want, margin, tol):
+    """got equals want, or every exact margin that got reads the other way is within tol."""
+    return all(abs(margin(t)) <= tol for t in range(min(got, want), max(got, want)))
+
+
+def test_float_and_rational_agree_at_n1000(rng):
+    # A float threshold may differ from the exact one only where every exact
+    # margin it misreads is below n rounding steps of values in [0, 1].
+    for n, K, M in ((1000, 10, 2), (997, 4, 3), (1024, 3, 4)):
+        model = random_dyadic_model(rng, M, bits=8)
+        spec = ProblemSpec(n, K, model)
+        exact = compute_tables(spec, RATIONAL)
+        approx = compute_tables(ProblemSpec(n, K, as_float_model(model)), FLOAT)
+        for exact_row, float_row in zip(exact.A + exact.U, approx.A + approx.U):
+            assert max(abs(float(e) - f) for e, f in zip(exact_row, float_row)) <= 1e-12
+        ets, fts = extract_thresholds(exact), extract_thresholds(approx)
+        tol = n * 2.0**-52
+        p, q = model.p, model.q
+
+        def decide(k):
+            return lambda t: exact.u(k, t) - exact.a(k - 1, t)
+
+        def stop(k, m):
+            return lambda t: p[m] * Fraction(t, n) - q[m] * exact.a(k, t)
+
+        assert _misreads_are_ties(n, fts.r_f, ets.r_f, decide(K + 1), tol)
+        for k in range(1, K + 1):
+            assert _misreads_are_ties(n, fts.r[k - 1], ets.r[k - 1], decide(k), tol)
+            for m in range(M):
+                assert _misreads_are_ties(n, fts.s[k - 1][m], ets.s[k - 1][m], stop(k, m), tol)
+
+
+def test_rational_work_cap_is_exact(monkeypatch):
+    from secquery import solver
+
+    model = symmetric_binary_model(Fraction(9, 10))
+    # n=9, K=2: (2K+3)(n+1) * n = 630.
+    monkeypatch.setattr(solver, "MAX_RATIONAL_WORK", 630)
+    assert compute_tables(ProblemSpec(9, 2, model), RATIONAL).spec.n == 9
+    with pytest.raises(ValidationError, match="MAX_RATIONAL_WORK"):
+        compute_tables(ProblemSpec(10, 2, model), RATIONAL)
+    assert compute_tables(ProblemSpec(10, 2, model), FLOAT).spec.n == 10

@@ -9,7 +9,6 @@ from .model import (
     ResponseModel,
     SumNotOne,
     ValidationError,
-    dump_config,
     parse_config,
     read_config,
     symmetric_binary_model,
@@ -17,7 +16,6 @@ from .model import (
 )
 from .oracle import (
     BudgetExceeded,
-    EnumerationBudget,
     exact_success_probability,
     exhaustive_optimal,
     random_exact_model,
@@ -32,18 +30,11 @@ from .policy import (
     NotAPermutation,
     RankStream,
     ScriptedGenie,
-    format_trace,
     hindsight_best,
     relative_ranks,
     run_strategy,
 )
-from .sim import (
-    SimConfig,
-    SimResult,
-    monte_carlo,
-    sample_permutation,
-    sample_response,
-)
+from .sim import SimConfig, SimResult, monte_carlo
 from .solver import (
     ThresholdSet,
     ValueTables,

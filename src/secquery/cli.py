@@ -23,8 +23,8 @@ from .model import (
     symmetric_binary_model,
 )
 from .oracle import (
+    MAX_ENUMERATION_N,
     BudgetExceeded,
-    EnumerationBudget,
     LemmaReport,
     exact_success_probability,
     exhaustive_optimal,
@@ -45,6 +45,9 @@ from .solver import (
 TABLE2_P_VALUES = ("0.50", "0.60", "0.70", "0.80", "0.90", "0.95", "0.98", "1.00")
 TABLE2_N = 100
 TABLE2_K = 10
+
+# Largest --models for verify; the default suite has 4 random models.
+MAX_VERIFY_MODELS = 1000
 
 
 class UsageError(ValueError):
@@ -188,21 +191,23 @@ def _lemma_checks(report: LemmaReport, instance: str) -> list[dict]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budget = EnumerationBudget()
-    if args.max_n < 1 or args.models < 0:
-        raise UsageError(f"need --max-n >= 1 and --models >= 0, got {args.max_n}, {args.models}")
-    if args.max_n > budget.max_n:
-        raise BudgetExceeded(f"max_n={args.max_n} exceeds enumeration cap {budget.max_n}")
+    if args.max_n < 1 or not 0 <= args.models <= MAX_VERIFY_MODELS:
+        raise UsageError(
+            f"need --max-n >= 1 and 0 <= --models <= MAX_VERIFY_MODELS={MAX_VERIFY_MODELS},"
+            f" got {args.max_n}, {args.models}"
+        )
+    if args.max_n > MAX_ENUMERATION_N:
+        raise BudgetExceeded(f"--max-n {args.max_n} is above MAX_ENUMERATION_N={MAX_ENUMERATION_N}")
     rng = random.Random(args.seed)
     suite = [random_exact_model(rng, M) for M in ([2, 3] * args.models)[: args.models]]
     checks: list[dict] = []
 
     for n in range(2, args.max_n + 1):
-        checks.extend(_lemma_checks(verify_lemma1(n, budget), f"n={n}"))
+        checks.extend(_lemma_checks(verify_lemma1(n), f"n={n}"))
 
     for i, model in enumerate(suite):
         n = min(args.max_n, 5)
-        report = verify_lemma2(n, model, budget)
+        report = verify_lemma2(n, model)
         checks.extend(_lemma_checks(report, f"n={n} model#{i}"))
 
     mode = NumericMode.EXACT_RATIONAL
@@ -212,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for K in range(0, min(3, n) + 1):
                 spec = ProblemSpec(n, K, model)
                 tables = compute_tables(spec, mode)
-                value = exact_success_probability(spec, extract_thresholds(tables), budget)
+                value = exact_success_probability(spec, extract_thresholds(tables))
                 checks.append(_check(name, f"n={n} K={K} model#{i}", tables.a(0, 0), value))
 
     name = "exhaustive-policy-search-matches-solver"
@@ -221,7 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for K in range(0, min(2, n) + 1):
                 spec = ProblemSpec(n, K, model)
                 tables = compute_tables(spec, mode)
-                best = exhaustive_optimal(spec, budget)
+                best = exhaustive_optimal(spec)
                 checks.append(_check(name, f"n={n} K={K} model2#{i}", tables.a(0, 0), best))
 
     name = "uninformative-model-collapses-to-classical"

@@ -203,22 +203,3 @@ def parse_config(text: str, mode: NumericMode = NumericMode.FLOAT64) -> ProblemS
 def read_config(path: str | Path, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
     return parse_config(Path(path).read_text(), mode)
 
-
-def _dump_prob(x: Number) -> object:
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    return x
-
-
-def dump_config(spec: ProblemSpec, labels: Sequence[str] | None = None) -> str:
-    """Serialize a ProblemSpec to the JSON config format (lossless round trip)."""
-    doc: dict[str, object] = {
-        "n": spec.n,
-        "K": spec.K,
-        "M": spec.model.M,
-        "p": [_dump_prob(x) for x in spec.model.p],
-        "q": [_dump_prob(x) for x in spec.model.q],
-    }
-    if labels is not None:
-        doc["labels"] = list(labels)
-    return json.dumps(doc, indent=2)

@@ -29,12 +29,9 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Hard caps so enumeration refuses oversized inputs instead of hanging."""
-
-    max_n: int = 7
-    max_states: int = 10_000_000
+# Hard caps so enumeration refuses oversized inputs instead of hanging.
+MAX_ENUMERATION_N = 7
+MAX_ENUMERATION_STATES = 10_000_000
 
 
 @dataclass
@@ -98,18 +95,12 @@ def _enumerate(n: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _guard(n: int, budget: EnumerationBudget | None) -> EnumerationBudget:
-    budget = budget or EnumerationBudget()
-    if n > budget.max_n:
-        raise BudgetExceeded(f"n={n} exceeds enumeration cap max_n={budget.max_n}")
-    return budget
+def _guard(n: int) -> None:
+    if n > MAX_ENUMERATION_N:
+        raise BudgetExceeded(f"n={n} is above MAX_ENUMERATION_N={MAX_ENUMERATION_N}")
 
 
-def exact_success_probability(
-    spec: ProblemSpec,
-    thresholds: ThresholdSet,
-    budget: EnumerationBudget | None = None,
-) -> Fraction:
+def exact_success_probability(spec: ProblemSpec, thresholds: ThresholdSet) -> Fraction:
     """Success probability of the given threshold strategy, by enumeration.
 
     Permutation-major: each of the n! rank streams carries weight 1/n!; the
@@ -118,7 +109,7 @@ def exact_success_probability(
     integers over n!*D^K: a stream starts at D^K and each query trades one
     factor D for P(m) or Q(m).
     """
-    _guard(spec.n, budget)
+    _guard(spec.n)
     if thresholds.n != spec.n:
         raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
     n, K, M = spec.n, spec.K, spec.model.M
@@ -155,7 +146,7 @@ def exact_success_probability(
     return Fraction(total, factorial(n) * unit)
 
 
-def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = None) -> Fraction:
+def exhaustive_optimal(spec: ProblemSpec) -> Fraction:
     """Best success probability over all history-dependent deterministic policies.
 
     Backward induction on full observation histories (rank prefix plus query
@@ -164,7 +155,7 @@ def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = Non
     Queries and stops at non-records are pointless and excluded.  This never
     touches the solver's A/U reduction.
     """
-    budget = _guard(spec.n, budget)
+    _guard(spec.n)
     n, K, M = spec.n, spec.K, spec.model.M
     D, P, Q = spec.model.integer_weights()
     data = _enumerate(n)
@@ -179,8 +170,10 @@ def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = Non
     def after_rank(t: int, used: int, items: list[tuple[int, int]]) -> int:
         nonlocal states
         states += 1
-        if states > budget.max_states:
-            raise BudgetExceeded(f"history count exceeded max_states={budget.max_states}")
+        if states > MAX_ENUMERATION_STATES:
+            raise BudgetExceeded(
+                f"histories exceed MAX_ENUMERATION_STATES={MAX_ENUMERATION_STATES}"
+            )
         zt = data[items[0][0]][0][t - 1]
         best_w = continue_value(t, used, items)
         if zt == 1:
@@ -219,7 +212,7 @@ def exhaustive_optimal(spec: ProblemSpec, budget: EnumerationBudget | None = Non
 # -- distributional identity suites --------------------------------------------
 
 
-def verify_lemma1(n: int, budget: EnumerationBudget | None = None) -> LemmaReport:
+def verify_lemma1(n: int) -> LemmaReport:
     """Exact distributional identities of the rank process.
 
     Checks, by full enumeration: every rank prefix has probability 1/t!; the
@@ -228,7 +221,7 @@ def verify_lemma1(n: int, budget: EnumerationBudget | None = None) -> LemmaRepor
     the best at an earlier time t1 it carries the indicator that z_{t1} = 1
     and every later rank in the prefix exceeds 1.
     """
-    _guard(n, budget)
+    _guard(n)
     data = _enumerate(n)
     nfact = factorial(n)
     prefix_prob = IdentityCheck("rank-prefix-probability")
@@ -269,9 +262,7 @@ def verify_lemma1(n: int, budget: EnumerationBudget | None = None) -> LemmaRepor
     return LemmaReport("lemma1", n, [prefix_prob, next_rank, joint_now, joint_earlier])
 
 
-def verify_lemma2(
-    n: int, model: ResponseModel, budget: EnumerationBudget | None = None
-) -> LemmaReport:
+def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
     """Exact posterior/response identities involving the expert.
 
     Enumerates permutations x response branches for every strictly increasing
@@ -285,14 +276,14 @@ def verify_lemma2(
     shared denominator n!*D^k, which cancels from each conditional
     probability, so each is a ratio of integer sums.
     """
-    budget = _guard(n, budget)
+    _guard(n)
     nfact = factorial(n)
     M = model.M
     # The master list for k query times holds up to n!*M^k branches; k = n
     # is the largest, so refuse before building any.
-    if nfact * M**n > budget.max_states:
+    if nfact * M**n > MAX_ENUMERATION_STATES:
         raise BudgetExceeded(
-            f"n!*M^n = {nfact * M**n} branches exceed max_states={budget.max_states}"
+            f"n!*M^n = {nfact * M**n} branches, above MAX_ENUMERATION_STATES"
         )
     data = _enumerate(n)
     p = [Fraction(x) for x in model.p]

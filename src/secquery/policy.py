@@ -98,12 +98,7 @@ class ScriptedGenie:
         return level
 
 
-def run_strategy(
-    thresholds: ThresholdSet,
-    stream: RankStream,
-    genie: Genie,
-    trace: list[tuple[int, int, str, int | None, bool]] | None = None,
-) -> EpisodeOutcome:
+def run_strategy(thresholds: ThresholdSet, stream: RankStream, genie: Genie) -> EpisodeOutcome:
     """Execute the threshold strategy on one rank stream.
 
     The walk keeps the index k of the next query (1..K, then K+1 once the
@@ -119,39 +114,23 @@ def run_strategy(
     selected: int | None = None
     stopped_at_query = False
     for t in range(1, n + 1):
-        zt = stream.z[t - 1]
-        action, response, stopped = "skip", None, False
-        if zt == 1:
-            if k <= K and t >= thresholds.r[k - 1]:
-                level = genie(t, t == best_time)
-                if not (1 <= level <= M):
-                    raise ValueError(f"genie response {level} outside 1..{M}")
-                queries.append((t, level))
-                response = level
-                if t >= thresholds.s[k - 1][level - 1]:
-                    selected, stopped_at_query = t, True
-                    action, stopped = "query-stop", True
-                else:
-                    k += 1
-                    action = "query"
-            elif k > K and t >= thresholds.r_f:
-                selected = t
-                action, stopped = "final-stop", True
-        if trace is not None:
-            trace.append((t, zt, action, response, stopped))
-        if stopped:
+        if stream.z[t - 1] != 1:
+            continue
+        if k <= K and t >= thresholds.r[k - 1]:
+            level = genie(t, t == best_time)
+            if not (1 <= level <= M):
+                raise ValueError(f"genie response {level} outside 1..{M}")
+            queries.append((t, level))
+            if t >= thresholds.s[k - 1][level - 1]:
+                selected, stopped_at_query = t, True
+                break
+            k += 1
+        elif k > K and t >= thresholds.r_f:
+            selected = t
             break
     return EpisodeOutcome(
         selected=selected,
         queries_used=tuple(queries),
         stopped_at_query=stopped_at_query,
-        success=selected == best_time if selected is not None else False,
-    )
-
-
-def format_trace(rows: Iterable[tuple[int, int, str, int | None, bool]]) -> str:
-    """One line per time step: t,z_t,action,response,stopped."""
-    return "\n".join(
-        f"{t},{z},{action},{'' if response is None else response},{str(stopped).lower()}"
-        for t, z, action, response, stopped in rows
+        success=selected == best_time,
     )

@@ -24,11 +24,16 @@ from functools import partial
 
 import numpy as np
 
-from .model import ProblemSpec, ResponseModel, ValidationError
+from .model import ProblemSpec, ValidationError
 from .policy import HorizonMismatch
 from .solver import ThresholdSet
 
 BLOCK_TRIALS = 8192
+
+# Largest trial count a run accepts: about 22 minutes on one core at ~750k
+# trials/s.  The block list is built up front, so a far larger count would
+# run out of memory before the first block.
+MAX_TRIALS = 10**9
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise ValidationError(f"trials={self.trials} is above MAX_TRIALS={MAX_TRIALS}")
         if self.parallelism < 1:
             raise ValidationError(f"parallelism must be >= 1, got {self.parallelism}")
 
@@ -55,25 +62,6 @@ class SimResult:
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(block_index,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform random permutation of 1..n (Fisher-Yates with bounded ints)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return rng.permutation(np.arange(1, n + 1, dtype=np.int64))
-
-
-def sample_response(rng: np.random.Generator, model: ResponseModel, is_best: bool) -> int:
-    """One expert response level, drawn from p if is_best else from q."""
-    u = rng.random()
-    dist = model.p if is_best else model.q
-    cum = 0.0
-    for m, prob in enumerate(dist, start=1):
-        cum += float(prob)
-        if u < cum:
-            return m
-    return model.M
 
 
 def _next_record(rng: np.random.Generator, pos: np.ndarray, n: int) -> np.ndarray:

@@ -27,7 +27,6 @@ is stage K+1 of the query rule: r_f is the least t with U[K+1][t] >= A[K][t].
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,10 +225,6 @@ def _p_arm_wins(Pm: int, Qm: int, n: int, t: int, a: Fraction) -> bool:
     return Pm * t * a.denominator >= Qm * n * a.numerator
 
 
-def _fraction_geq(x: Fraction, y: Fraction) -> bool:
-    return x.numerator * y.denominator >= y.numerator * x.denominator
-
-
 def _first_time(n: int, pred) -> int:
     for t in range(1, n + 1):
         if pred(t):
@@ -276,10 +271,9 @@ def extract_thresholds(tables: ValueTables) -> ThresholdSet:
     while A[.][n] = 0.
     """
     spec = tables.spec
-    geq = _fraction_geq if tables.mode is NumericMode.EXACT_RATIONAL else operator.ge
     # U[k] pairs with A[k-1] for k = 1..K+1; the last pair gives r_f.
     *r, r_f = (
-        _first_time(spec.n, lambda t, u=u, a=a: geq(u[t], a[t]))
+        _first_time(spec.n, lambda t, u=u, a=a: u[t] >= a[t])
         for u, a in zip(tables.U, tables.A)
     )
     return ThresholdSet(

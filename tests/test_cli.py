@@ -15,6 +15,20 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def run_cli_in_1gib(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """run_cli under a 1 GiB address-space limit."""
+    limit = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "secquery", *args],
+        capture_output=True, text=True, timeout=timeout, preexec_fn=limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
 def write_config(tmp_path: Path, n=100, K=10, p="0.95") -> Path:
     path = tmp_path / "config.json"
     path.write_text(
@@ -242,16 +256,8 @@ def test_simulate_large_n_in_bounded_memory(tmp_path):
     # Sampling must not grow with n: a block of 8192 permutations of 10**5
     # would need 6.1 GiB of int64, far past this 1 GiB address-space limit.
     config = write_config(tmp_path, n=100_000, K=3, p="0.9")
-    limit = 1 << 30
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    cp = subprocess.run(
-        [sys.executable, "-m", "secquery", "simulate", "--config", str(config),
-         "--trials", "20000", "--seed", "9"],
-        capture_output=True, text=True, timeout=300, preexec_fn=limit_address_space,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    cp = run_cli_in_1gib(
+        "simulate", "--config", str(config), "--trials", "20000", "--seed", "9", timeout=300
     )
     assert cp.returncode == 0, cp.stderr[-2000:]
     assert abs(json.loads(cp.stdout)["gap_stderr_units"]) < 6
@@ -308,24 +314,57 @@ def test_oversized_solve_is_refused_before_allocating(tmp_path):
     # (2K+3)(n+1) cells of 10**8 x 2 would need several GB; the cap refuses
     # the instance well inside this 1 GiB address-space limit.
     config = write_config(tmp_path, n=10**8, K=2, p="0.9")
-    limit = 1 << 30
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     for args in (
         ("solve", "--config", str(config)),
         ("simulate", "--config", str(config), "--trials", "10"),
         ("sweep", "--n", str(10**8), "--k-range", "0:2", "--p-values", "0.9"),
     ):
-        cp = subprocess.run(
-            [sys.executable, "-m", "secquery", *args],
-            capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        cp = run_cli_in_1gib(*args)
         assert cp.returncode == 1, (args, cp.stderr[-2000:])
         assert cp.stderr.startswith("error:") and "MAX_TABLE_CELLS" in cp.stderr, args
         assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+def test_oversized_trial_count_is_refused_before_allocating(tmp_path):
+    # 10**13 trials would build about 1.2e9 block tuples before the first
+    # block ran; the MAX_TRIALS cap refuses the count first.
+    config = write_config(tmp_path, n=10, K=1, p="0.8")
+    cp = run_cli_in_1gib("simulate", "--config", str(config), "--trials", str(10**13))
+    assert cp.returncode == 1, cp.stderr[-2000:]
+    assert cp.stderr.startswith("error:") and "MAX_TRIALS" in cp.stderr
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+def test_trial_cap_boundary(tmp_path, monkeypatch, capsys):
+    from secquery import cli, sim
+
+    config = str(write_config(tmp_path, n=10, K=1, p="0.8"))
+    monkeypatch.setattr(sim, "MAX_TRIALS", 3)
+    assert cli.main(["simulate", "--config", config, "--trials", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+    assert cli.main(["simulate", "--config", config, "--trials", "4"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "MAX_TRIALS=3" in out.err
+
+
+def test_oversized_model_count_is_refused_before_allocating():
+    # [2, 3] * 10**12 alone would need terabytes; the MAX_VERIFY_MODELS cap
+    # refuses the count first.
+    cp = run_cli_in_1gib("verify", "--models", str(10**12))
+    assert cp.returncode == 1, cp.stderr[-2000:]
+    assert cp.stderr.startswith("error:") and "MAX_VERIFY_MODELS" in cp.stderr
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+def test_verify_model_cap_boundary(monkeypatch, capsys):
+    from secquery import cli
+
+    monkeypatch.setattr(cli, "MAX_VERIFY_MODELS", 2)
+    assert cli.main(["verify", "--max-n", "2", "--models", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert cli.main(["verify", "--max-n", "2", "--models", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "MAX_VERIFY_MODELS=2" in out.err
 
 
 def test_verify_failure_exits_2_with_exact_deviation(monkeypatch, capsys):
@@ -334,7 +373,7 @@ def test_verify_failure_exits_2_with_exact_deviation(monkeypatch, capsys):
     from secquery import cli
     from secquery.oracle import IdentityCheck, LemmaReport
 
-    def failing_lemma2(n, model, budget=None):
+    def failing_lemma2(n, model):
         check = IdentityCheck("record-posterior")
         check.record("tq=(1,) zeta=(2,) t=3", Fraction(3, 4), Fraction(2, 3))
         return LemmaReport("lemma2", n, [check])

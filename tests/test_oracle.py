@@ -7,7 +7,6 @@ import pytest
 
 from secquery import (
     BudgetExceeded,
-    EnumerationBudget,
     NumericMode,
     ProblemSpec,
     classical_threshold,
@@ -21,6 +20,7 @@ from secquery import (
     verify_lemma1,
     verify_lemma2,
 )
+from secquery import oracle
 from secquery.oracle import IdentityCheck
 from secquery.solver import ThresholdSet
 
@@ -89,9 +89,10 @@ def test_exhaustive_matches_classical_n5_k0():
     assert exhaustive_optimal(ProblemSpec(5, 0, UNIFORM)) == classical_threshold(5, RATIONAL)[1]
 
 
-def test_exhaustive_budget_guard():
+def test_exhaustive_budget_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ENUMERATION_STATES", 10)
     with pytest.raises(BudgetExceeded):
-        exhaustive_optimal(ProblemSpec(4, 1, INFALLIBLE), EnumerationBudget(max_states=10))
+        exhaustive_optimal(ProblemSpec(4, 1, INFALLIBLE))
 
 
 def test_oracle_agreement_random_suite(rng):
@@ -253,14 +254,16 @@ def test_lemma2_budget():
         verify_lemma2(9, UNIFORM)
 
 
-def test_lemma2_branch_budget():
-    # n=4 with three levels: the k=4 master list holds 4! * 3^4 branches.
-    assert verify_lemma2(4, THREE, EnumerationBudget(max_states=24 * 81)).passed
-    with pytest.raises(BudgetExceeded):
-        verify_lemma2(4, THREE, EnumerationBudget(max_states=24 * 81 - 1))
-    # 7! * 3^7 = 11 022 480 branches: refused up front under the default budget.
+def test_lemma2_branch_budget(monkeypatch):
+    # 7! * 3^7 = 11 022 480 branches: refused up front under the default cap.
     with pytest.raises(BudgetExceeded):
         verify_lemma2(7, THREE)
+    # n=4 with three levels: the k=4 master list holds 4! * 3^4 branches.
+    monkeypatch.setattr(oracle, "MAX_ENUMERATION_STATES", 24 * 81)
+    assert verify_lemma2(4, THREE).passed
+    monkeypatch.setattr(oracle, "MAX_ENUMERATION_STATES", 24 * 81 - 1)
+    with pytest.raises(BudgetExceeded):
+        verify_lemma2(4, THREE)
 
 
 # -- integer comparison path ------------------------------------------------------

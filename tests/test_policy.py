@@ -15,7 +15,6 @@ from secquery import (
     classical_threshold,
     compute_tables,
     extract_thresholds,
-    format_trace,
     hindsight_best,
     relative_ranks,
     run_strategy,
@@ -166,17 +165,6 @@ def test_stop_at_horizon_record_always_succeeds(rng):
         outcome = run_strategy(ts, stream, ScriptedGenie(responses))
         if outcome.selected == 8:
             assert outcome.success
-
-
-def test_trace_format():
-    _, ts = solve(4, 1, symmetric_binary_model(1.0))
-    rows: list = []
-    outcome = run_strategy(ts, relative_ranks((3, 1, 2, 4)), ScriptedGenie([1]), trace=rows)
-    lines = format_trace(rows).splitlines()
-    assert lines[0].startswith("1,1,")
-    assert all(line.split(",")[2] in {"skip", "query", "final-stop", "query-stop"} for line in lines)
-    assert lines[-1].endswith("true") == (outcome.selected is not None)
-    assert len(lines) == (outcome.selected or 4)
 
 
 def test_exhaustive_walk_agreement_with_oracle_enumeration(rng):

@@ -1,7 +1,6 @@
 import math
 import random
 import statistics
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +18,6 @@ from secquery import (
     monte_carlo,
     relative_ranks,
     run_strategy,
-    sample_permutation,
-    sample_response,
     symmetric_binary_model,
     validate_model,
 )
@@ -31,59 +28,6 @@ from secquery.sim import BLOCK_TRIALS, _block_rng, _next_record
 def solve(n, K, model, mode=NumericMode.FLOAT64):
     tables = compute_tables(ProblemSpec(n, K, model), mode)
     return tables, extract_thresholds(tables)
-
-
-def test_sample_permutation_trivial_and_valid():
-    rng = _block_rng(1, 0)
-    assert sample_permutation(rng, 1).tolist() == [1]
-    perm = sample_permutation(rng, 10)
-    assert sorted(perm.tolist()) == list(range(1, 11))
-
-
-def test_sample_permutation_seed_determinism():
-    a = [sample_permutation(_block_rng(9, 0), 8).tolist() for _ in range(3)]
-    assert a[0] == a[1] == a[2]
-    # a different seed diverges (checked once; deterministic thereafter)
-    assert sample_permutation(_block_rng(10, 0), 8).tolist() != a[0]
-
-
-def test_sample_permutation_uniformity_chi_square():
-    # 60000 draws of n=3: each of the 6 orders expected 10000 times.
-    rng = _block_rng(123, 0)
-    counts = Counter(tuple(sample_permutation(rng, 3).tolist()) for _ in range(60000))
-    assert len(counts) == 6
-    expected = 60000 / 6
-    sigma = math.sqrt(60000 * (1 / 6) * (5 / 6))
-    for order, c in counts.items():
-        assert abs(c - expected) <= 4 * sigma, (order, c)
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < 30  # far above the 1e-4 tail of chi-square with 5 dof
-
-
-def test_sample_response_infallible():
-    rng = _block_rng(5, 0)
-    model = validate_model(2, (1, 0), (0, 1))
-    assert all(sample_response(rng, model, True) == 1 for _ in range(200))
-    assert all(sample_response(rng, model, False) == 2 for _ in range(200))
-
-
-def test_sample_response_frequencies():
-    rng = _block_rng(6, 0)
-    model = symmetric_binary_model(0.9)
-    draws = 1_000_000
-    ones = sum(1 for _ in range(draws) if sample_response(rng, model, True) == 1)
-    sigma = math.sqrt(draws * 0.9 * 0.1)
-    assert abs(ones - draws * 0.9) <= 4 * sigma
-
-
-def test_sample_response_uniform_ignores_state():
-    rng = _block_rng(7, 0)
-    model = symmetric_binary_model(0.5)
-    draws = 200_000
-    sigma = math.sqrt(draws * 0.25)
-    for is_best in (True, False):
-        ones = sum(1 for _ in range(draws) if sample_response(rng, model, is_best) == 1)
-        assert abs(ones - draws / 2) <= 4 * sigma
 
 
 def test_next_record_tail_law():

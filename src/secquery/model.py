@@ -142,8 +142,9 @@ class ProblemSpec:
 # -- JSON config -------------------------------------------------------------
 #
 # Schema: {"n": int, "K": int, "M": int, "p": [num...], "q": [num...]}
-# plus optional "labels": [str...] of length M (display only, not kept on the
-# core types).  Numbers may be "a/b" strings, which are exact in rational mode.
+# plus optional "labels": [str...] of length M (checked, then ignored: not
+# kept on the core types).  Numbers may be "a/b" strings, which are exact in
+# rational mode.
 
 
 def parse_prob(x: object, mode: NumericMode) -> Number:

@@ -7,8 +7,10 @@ independent checks the solver is validated against.
 
 Branch weights are kept as Python integers: with D the common denominator of
 p and q, a branch that used j queries weighs prod(p*D or q*D) over n!*D^j, so
-sums and comparisons run on integer numerators over one shared denominator,
-and a ``Fraction`` is built only for a result or a reported deviation.
+sums and comparisons run on integer numerators over one shared denominator.
+A ``Fraction`` is built only for a result, a reported deviation, or an
+expected value: the paper's formula a sum is compared with, written in P, Q
+and D.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Callable
+from math import factorial, prod
+from typing import Any, Callable, Iterable
 
 from .model import ProblemSpec, ResponseModel, validate_model
 from .policy import HorizonMismatch
@@ -110,9 +112,12 @@ def exact_success_probability(spec: ProblemSpec, thresholds: ThresholdSet) -> Fr
     factor D for P(m) or Q(m).
     """
     _guard(spec.n)
-    if thresholds.n != spec.n:
-        raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
     n, K, M = spec.n, spec.K, spec.model.M
+    for name, solved, given in (
+        ("n", thresholds.n, n), ("K", thresholds.K, K), ("M", thresholds.M, M)
+    ):
+        if solved != given:
+            raise HorizonMismatch(f"thresholds for {name}={solved}, spec has {name}={given}")
     D, P, Q = spec.model.integer_weights()
     unit = D**K
     total = 0
@@ -262,6 +267,28 @@ def verify_lemma1(n: int) -> LemmaReport:
     return LemmaReport("lemma1", n, [prefix_prob, next_rank, joint_now, joint_earlier])
 
 
+def _conditional(
+    check: IdentityCheck,
+    rows: Iterable[tuple[Any, int, bool]],
+    expected: Callable[[Any], Fraction],
+    describe: Callable[[Any], str],
+) -> None:
+    """Check P(event | key) = expected(key) for every key that has weight.
+
+    ``rows`` holds (key, weight, event) with integer weights over one shared
+    denominator, which cancels from each ratio; keys are checked in the order
+    they first appear.
+    """
+    den: dict = {}
+    num: dict = {}
+    for key, w, event in rows:
+        den[key] = den.get(key, 0) + w
+        if event:
+            num[key] = num.get(key, 0) + w
+    for key, d in den.items():
+        check.record_ratio(lambda: describe(key), expected(key), num.get(key, 0), d)
+
+
 def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
     """Exact posterior/response identities involving the expert.
 
@@ -274,7 +301,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
 
     For one tuple of k query times every branch weight is an integer over the
     shared denominator n!*D^k, which cancels from each conditional
-    probability, so each is a ratio of integer sums.
+    probability, so each is a ratio of integer sums.  The expected values are
+    the paper's formulas with p = P/D and q = Q/D.
     """
     _guard(n)
     nfact = factorial(n)
@@ -282,123 +310,86 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
     # The master list for k query times holds up to n!*M^k branches; k = n
     # is the largest, so refuse before building any.
     if nfact * M**n > MAX_ENUMERATION_STATES:
-        raise BudgetExceeded(
-            f"n!*M^n = {nfact * M**n} branches, above MAX_ENUMERATION_STATES"
-        )
+        raise BudgetExceeded(f"n!*M^n = {nfact * M**n} branches, above MAX_ENUMERATION_STATES")
     data = _enumerate(n)
-    p = [Fraction(x) for x in model.p]
-    q = [Fraction(x) for x in model.q]
-    _, P, Q = model.integer_weights()
+    D, P, Q = model.integer_weights()
     zero = Fraction(0)
     cur_posterior = IdentityCheck("record-posterior")
     query_posterior = IdentityCheck("queried-sample-posterior")
     response_marginal = IdentityCheck("response-marginal")
     next_record = IdentityCheck("next-record-probability")
 
-    times = list(range(1, n + 1))
     for k in range(1, n + 1):
         # A response combo's weight depends on the permutation only through
         # which query (if any) hit the best: weighted[j] lists the nonzero
         # weights when the j-th did, weighted[k] when none did.
-        weighted = []
-        for j in range(k + 1):
-            entries = []
-            for zeta in itertools.product(range(1, M + 1), repeat=k):
-                w = 1
-                for i, m in enumerate(zeta):
-                    w *= P[m - 1] if i == j else Q[m - 1]
-                if w:
-                    entries.append((zeta, w))
-            weighted.append(entries)
-        for tq in itertools.combinations(times, k):
+        weighted = [
+            [
+                (zeta, w)
+                for zeta in itertools.product(range(1, M + 1), repeat=k)
+                if (w := prod(P[m - 1] if i == j else Q[m - 1] for i, m in enumerate(zeta)))
+            ]
+            for j in range(k + 1)
+        ]
+        for tq in itertools.combinations(range(1, n + 1), k):
             tk = tq[-1]
             # master list of weighted (perm, response combo) pairs
-            master: list[tuple[tuple[int, ...], int, tuple[int, ...], int]] = [
+            master = [
                 (z, best, zeta, w)
                 for z, best in data
                 for zeta, w in weighted[tq.index(best) if best in tq else k]
             ]
+            at_tk = [row for row in master if row[0][tk - 1] == 1]
 
-            # record-posterior at every t past the last query
-            for t in range(tk + 1, n + 1):
-                den: dict = {}
-                num: dict = {}
-                for z, best, zeta, w in master:
-                    key = (z[:t], zeta)
-                    den[key] = den.get(key, 0) + w
-                    if best == t:
-                        num[key] = num.get(key, 0) + w
-                at_record = Fraction(t, n)
-                for key, d in den.items():
-                    expected = at_record if key[0][t - 1] == 1 else zero
-                    cur_posterior.record_ratio(
-                        lambda: f"tq={tq} zeta={key[1]} t={t}", expected, num.get(key, 0), d
-                    )
-
-            # queried-sample posterior and response marginal at t = tk
-            den = {}
-            num = {}
-            mden: dict = {}
-            mnum: dict = {}
-            for z, best, zeta, w in master:
-                key = (z[:tk], zeta)
-                den[key] = den.get(key, 0) + w
-                if best == tk:
-                    num[key] = num.get(key, 0) + w
-                if z[tk - 1] == 1:
-                    mkey = (z[:tk], zeta[:-1])
-                    mden[mkey] = mden.get(mkey, 0) + w
-                    row = mnum.setdefault(mkey, [0] * (M + 1))
-                    row[zeta[-1]] += w
-            # A level with p(m)*tk + q(m)*(n-tk) = 0 never answers at a record.
-            posterior = [
-                Fraction(pm * tk, pm * tk + qm * (n - tk)) if pm * tk + qm * (n - tk) else None
-                for pm, qm in zip(p, q)
-            ]
-            for key, d in den.items():
-                zk = key[1][-1]
-                expected = posterior[zk - 1] if key[0][tk - 1] == 1 else zero
-                query_posterior.record_ratio(
-                    lambda: f"tq={tq} zeta={key[1]}", expected, num.get(key, 0), d
+            # P(best = t | ranks to t, responses) at a record is
+            # p(m)t / (p(m)t + q(m)(n-t)) for the sample queried at t = tk with
+            # response m, and t/n for any later one, which is unqueried (p = q).
+            # A level that never answers at a record gets None.
+            for t in range(tk, n + 1):
+                levels = zip(P, Q) if t == tk else [(1, 1)] * M
+                posterior = [
+                    Fraction(Pm * t, Pm * t + Qm * (n - t)) if Pm * t + Qm * (n - t) else None
+                    for Pm, Qm in levels
+                ]
+                _conditional(
+                    query_posterior if t == tk else cur_posterior,
+                    (((z[:t], zeta), w, best == t) for z, best, zeta, w in master),
+                    lambda key: posterior[key[1][-1] - 1] if key[0][t - 1] == 1 else zero,
+                    lambda key: f"tq={tq} zeta={key[1]}" + (f" t={t}" if t > tk else ""),
                 )
-            marginal = [pm * Fraction(tk, n) + qm * (1 - Fraction(tk, n)) for pm, qm in zip(p, q)]
-            for mkey, d in mden.items():
-                for m in range(1, M + 1):
-                    response_marginal.record_ratio(
-                        lambda: f"tq={tq} zeta_prefix={mkey[1]} m={m}",
-                        marginal[m - 1],
-                        mnum[mkey][m],
-                        d,
-                    )
 
-            # next-record probability for every t past the last query
+            # P(response m | record at tk, ranks, earlier responses)
+            # = p(m) tk/n + q(m) (1 - tk/n)
+            marginal = [Fraction(Pm * tk + Qm * (n - tk), D * n) for Pm, Qm in zip(P, Q)]
+            _conditional(
+                response_marginal,
+                (
+                    ((z[:tk], zeta[:-1], m), w, zeta[-1] == m)
+                    for z, _, zeta, w in at_tk
+                    for m in range(1, M + 1)
+                ),
+                lambda key: marginal[key[2] - 1],
+                lambda key: f"tq={tq} zeta_prefix={key[1]} m={key[2]}",
+            )
+
+            # P(z_t = 1 | record at tk, ranks to t-1, responses) is 1/t unless
+            # no rank since tk is a record; then, for the last response m, it is
+            # (1/t)(1 - (t-1)(p-q)/(p(t-1) + q(n-t+1))) = qn / (t(p(t-1) + q(n-t+1))).
+            # Inert levels (p = q = 0) get None.
             for t in range(tk + 1, n + 1):
-                den = {}
-                num = {}
-                for z, best, zeta, w in master:
-                    if z[tk - 1] != 1:
-                        continue
-                    key = (z[: t - 1], zeta)
-                    den[key] = den.get(key, 0) + w
-                    if z[t - 1] == 1:
-                        num[key] = num.get(key, 0) + w
-                # expected[m - 1] when every rank since tk exceeds one, else
-                # the uncorrected 1/t; inert levels (p = q = 0) get None.
                 uncorrected = Fraction(1, t)
                 corrected = [
-                    uncorrected
-                    * (1 - Fraction((t - 1) * (pk - qk), pk * (t - 1) + qk * (n - t + 1)))
-                    if pk or qk
-                    else None
-                    for pk, qk in zip(p, q)
+                    Fraction(Qm * n, t * (Pm * (t - 1) + Qm * (n - t + 1))) if Pm or Qm else None
+                    for Pm, Qm in zip(P, Q)
                 ]
-                for key, d in den.items():
-                    zk = key[1][-1]
-                    ind = all(key[0][l] > 1 for l in range(tk, t - 1))
-                    expected = corrected[zk - 1] if ind else uncorrected
-                    next_record.record_ratio(
-                        lambda: f"tq={tq} zeta={key[1]} t={t}", expected, num.get(key, 0), d
-                    )
+                _conditional(
+                    next_record,
+                    (((z[: t - 1], zeta), w, z[t - 1] == 1) for z, _, zeta, w in at_tk),
+                    lambda key: corrected[key[1][-1] - 1]
+                    if all(key[0][l] > 1 for l in range(tk, t - 1))
+                    else uncorrected,
+                    lambda key: f"tq={tq} zeta={key[1]} t={t}",
+                )
     return LemmaReport(
         "lemma2", n, [cur_posterior, query_posterior, response_marginal, next_record]
     )

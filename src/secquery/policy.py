@@ -24,7 +24,12 @@ class NotAPermutation(ValueError):
 
 
 class HorizonMismatch(ValueError):
-    pass
+    """Thresholds run on an instance they were not solved for.
+
+    A walker refuses thresholds whose horizon n, budget K or number of
+    response levels M differs from the instance it is given; the message
+    names the field.  ``run_strategy`` checks n: a rank stream has no K or M.
+    """
 
 
 class GenieExhausted(RuntimeError):

@@ -120,8 +120,11 @@ def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> 
     Blocks run in a process pool of min(cfg.parallelism, CPU count, blocks)
     workers; the result does not depend on the pool size.
     """
-    if thresholds.n != spec.n:
-        raise HorizonMismatch(f"thresholds for n={thresholds.n}, spec has n={spec.n}")
+    for name, solved, given in (
+        ("n", thresholds.n, spec.n), ("K", thresholds.K, spec.K), ("M", thresholds.M, spec.model.M)
+    ):
+        if solved != given:
+            raise HorizonMismatch(f"thresholds for {name}={solved}, spec has {name}={given}")
     run_block = partial(_simulate_block, spec, thresholds, cfg.seed)
     blocks = [
         (i // BLOCK_TRIALS, min(BLOCK_TRIALS, cfg.trials - i))

@@ -1,9 +1,8 @@
 """Shared generators for randomized suites (exact models, dyadic floats)."""
 
 import random
-from fractions import Fraction
 
-from secquery import ProblemSpec, ResponseModel, validate_model
+from secquery import ProblemSpec, ResponseModel, random_exact_model, validate_model
 
 
 def random_dyadic_model(rng: random.Random, M: int, bits: int = 20) -> ResponseModel:
@@ -13,14 +12,7 @@ def random_dyadic_model(rng: random.Random, M: int, bits: int = 20) -> ResponseM
     in both arithmetics, so float-mode table properties hold without
     tolerance and float/rational solves see the same model.
     """
-    denom = 1 << bits
-
-    def dist() -> tuple[Fraction, ...]:
-        cuts = sorted(rng.randint(0, denom) for _ in range(M - 1))
-        bounds = [0, *cuts, denom]
-        return tuple(Fraction(bounds[i + 1] - bounds[i], denom) for i in range(M))
-
-    return validate_model(M, dist(), dist())
+    return random_exact_model(rng, M, 1 << bits)
 
 
 def as_float_model(model: ResponseModel) -> ResponseModel:

@@ -7,6 +7,7 @@ import pytest
 
 from secquery import (
     BudgetExceeded,
+    HorizonMismatch,
     NumericMode,
     ProblemSpec,
     classical_threshold,
@@ -59,6 +60,22 @@ def test_exact_success_symmetric_08():
     spec = ProblemSpec(5, 2, model)
     tables, ts = solved(5, 2, model)
     assert exact_success_probability(spec, ts) == tables.a(0, 0)
+
+
+def test_exact_success_horizon_mismatch():
+    nine = symmetric_binary_model(Fraction(9, 10))
+    # (thresholds solved for, spec run under, field named in the error)
+    cases = [
+        ((6, 1, nine), (5, 1, nine), "n"),
+        # without the K check this runs to a value (1143/1600), not an error
+        ((6, 3, nine), (6, 2, nine), "K"),
+        ((6, 1, nine), (6, 1, THREE), "M"),
+        ((6, 1, THREE), (6, 1, nine), "M"),
+    ]
+    for solved_for, run_under, field in cases:
+        _, ts = solved(*solved_for)
+        with pytest.raises(HorizonMismatch, match=f"{field}="):
+            exact_success_probability(ProblemSpec(*run_under), ts)
 
 
 def test_exact_success_budget():
@@ -264,6 +281,55 @@ def test_lemma2_branch_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ENUMERATION_STATES", 24 * 81 - 1)
     with pytest.raises(BudgetExceeded):
         verify_lemma2(4, THREE)
+
+
+# -- the suites can fail ----------------------------------------------------------
+
+
+def _failing_checks(*reports):
+    """name -> (worst deviation, first failure) of every check that failed."""
+    return {
+        c.name: (c.worst_deviation, c.failures[0])
+        for report in reports
+        for c in report.checks
+        if c.failures
+    }
+
+
+def test_lemma_suites_catch_a_corrupted_enumeration(monkeypatch):
+    # Every other lemma test asserts `passed`; this one shows the suites fail.
+    # The last permutation of n=4 is (4, 3, 2, 1): ranks (1, 1, 1, 1), best at 4.
+    real = oracle._enumerate
+    assert real(4)[-1] == ((1, 1, 1, 1), 4)
+
+    monkeypatch.setattr(oracle, "_enumerate", lambda n: real(n)[:-1])
+    assert _failing_checks(verify_lemma1(4), verify_lemma2(4, TWO)) == {
+        "rank-prefix-probability": (Fraction(1, 24), "t=1 prefix=(1,): expected 1, got 23/24"),
+        "next-rank-uniform": (Fraction(1, 12), "t=1 prefix=(1,): expected 1, got 23/24"),
+        "record-posterior": (Fraction(1, 4), "tq=(1,) zeta=(1,) t=2: expected 1/2, got 6/11"),
+        "queried-sample-posterior": (
+            Fraction(35, 71),
+            "tq=(1,) zeta=(1,): expected 10/17, got 180/299",
+        ),
+        "response-marginal": (
+            Fraction(23, 168),
+            "tq=(1,) zeta_prefix=() m=1: expected 17/56, got 13/42",
+        ),
+        "next-record-probability": (
+            Fraction(35, 71),
+            "tq=(1,) zeta=(1,) t=2: expected 14/51, got 77/299",
+        ),
+    }
+
+    # Keep every rank stream but move that stream's best from time 4 to 3.
+    monkeypatch.setattr(oracle, "_enumerate", lambda n: [*real(n)[:-1], ((1, 1, 1, 1), 3)])
+    assert _failing_checks(verify_lemma1(4)) == {
+        "joint-best-now": (Fraction(1, 24), "t=3 t1=3 prefix=(1, 1, 1): expected 1/8, got 1/6"),
+        "joint-best-earlier": (
+            Fraction(1, 24),
+            "t=4 t1=3 prefix=(1, 1, 1, 1): expected 0, got 1/24",
+        ),
+    }
 
 
 # -- integer comparison path ------------------------------------------------------

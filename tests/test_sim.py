@@ -65,10 +65,22 @@ def test_sim_config_validation():
 
 
 def test_monte_carlo_horizon_mismatch():
-    model = symmetric_binary_model(0.8)
-    _, ts = solve(6, 1, model)
-    with pytest.raises(HorizonMismatch):
-        monte_carlo(ProblemSpec(7, 1, model), ts, SimConfig(trials=10, seed=1))
+    two = symmetric_binary_model(0.8)
+    three = validate_model(3, (0.5, 0.25, 0.25), (0.25, 0.25, 0.5))
+    cfg = SimConfig(trials=10, seed=1)
+    # (thresholds solved for, spec run under, field named in the error)
+    cases = [
+        ((6, 1, two), (7, 1, two), "n"),
+        ((6, 1, two), (6, 2, two), "K"),
+        ((6, 1, two), (6, 1, three), "M"),
+        # without the K check this runs to an estimate, not an error
+        ((50, 3, two), (50, 2, three), "K"),
+        ((50, 2, three), (50, 2, two), "M"),
+    ]
+    for solved_for, run_under, field in cases:
+        _, ts = solve(*solved_for)
+        with pytest.raises(HorizonMismatch, match=f"{field}="):
+            monte_carlo(ProblemSpec(*run_under), ts, cfg)
 
 
 def test_monte_carlo_parallelism_invariance():

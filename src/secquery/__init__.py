@@ -26,7 +26,6 @@ from .policy import (
     EpisodeOutcome,
     Genie,
     GenieExhausted,
-    HorizonMismatch,
     NotAPermutation,
     RankStream,
     ScriptedGenie,
@@ -36,6 +35,7 @@ from .policy import (
 )
 from .sim import SimConfig, SimResult, monte_carlo
 from .solver import (
+    HorizonMismatch,
     ThresholdSet,
     ValueTables,
     classical_threshold,

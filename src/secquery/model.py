@@ -100,6 +100,10 @@ class ResponseModel:
         """True when every entry is an int or Fraction."""
         return all(_is_exact(x) for x in self.p + self.q)
 
+    def float_weights(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(p, q) as IEEE doubles."""
+        return tuple(float(x) for x in self.p), tuple(float(x) for x in self.q)
+
     def integer_weights(self) -> tuple[int, list[int], list[int]]:
         """(D, P, Q): the least common denominator D of p and q, P = p*D, Q = q*D."""
         p = [Fraction(x) for x in self.p]

@@ -3,7 +3,9 @@
 Everything here works by enumeration over all n! permutations (and, where the
 expert is involved, over response branches weighted by p/q), in exact rational
 arithmetic.  None of it reuses the solver's value recursion; these are the
-independent checks the solver is validated against.
+independent checks the solver is validated against.  Likewise
+``exact_success_probability`` walks a ``ThresholdSet`` on its own and imports
+neither ``policy`` nor ``sim``, the two walkers it is checked against.
 
 Branch weights are kept as Python integers: with D the common denominator of
 p and q, a branch that used j queries weighs prod(p*D or q*D) over n!*D^j, so
@@ -23,7 +25,6 @@ from math import factorial, prod
 from typing import Any, Callable, Iterable
 
 from .model import ProblemSpec, ResponseModel, validate_model
-from .policy import HorizonMismatch
 from .solver import ThresholdSet
 
 
@@ -47,13 +48,20 @@ class IdentityCheck:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, instance: str, expected: Fraction, actual: Fraction) -> None:
+    def fail(self, text: str) -> None:
+        """Count one failed case; the first five failure texts are kept."""
         self.cases += 1
+        if len(self.failures) < 5:
+            self.failures.append(text)
+
+    def record(self, instance: str, expected: Fraction, actual: Fraction) -> None:
         dev = abs(actual - expected)
         if dev > self.worst_deviation:
             self.worst_deviation = dev
-        if actual != expected and len(self.failures) < 5:
-            self.failures.append(f"{instance}: expected {expected}, got {actual}")
+        if actual != expected:
+            self.fail(f"{instance}: expected {expected}, got {actual}")
+        else:
+            self.cases += 1
 
     def record_ratio(
         self, describe: Callable[[], str], expected: Fraction, num: int, den: int
@@ -112,12 +120,8 @@ def exact_success_probability(spec: ProblemSpec, thresholds: ThresholdSet) -> Fr
     factor D for P(m) or Q(m).
     """
     _guard(spec.n)
+    thresholds.check_fits(spec)
     n, K, M = spec.n, spec.K, spec.model.M
-    for name, solved, given in (
-        ("n", thresholds.n, n), ("K", thresholds.K, K), ("M", thresholds.M, M)
-    ):
-        if solved != given:
-            raise HorizonMismatch(f"thresholds for {name}={solved}, spec has {name}={given}")
     D, P, Q = spec.model.integer_weights()
     unit = D**K
     total = 0
@@ -245,10 +249,7 @@ def verify_lemma1(n: int) -> LemmaReport:
                 row = best_counts.setdefault(key, [0] * (t + 1))
                 row[best] += 1
         if len(counts) != factorial(t):
-            prefix_prob.cases += 1
-            prefix_prob.failures.append(
-                f"t={t}: {len(counts)} distinct prefixes, expected {factorial(t)}"
-            )
+            prefix_prob.fail(f"t={t}: {len(counts)} distinct prefixes, expected {factorial(t)}")
         prefix, uniform = Fraction(1, factorial(t)), Fraction(1, t)
         joint, zero = Fraction(1, factorial(t - 1) * n), Fraction(0)
         for key, c in counts.items():
@@ -270,14 +271,15 @@ def verify_lemma1(n: int) -> LemmaReport:
 def _conditional(
     check: IdentityCheck,
     rows: Iterable[tuple[Any, int, bool]],
-    expected: Callable[[Any], Fraction],
+    expected: Callable[[Any], Fraction | None],
     describe: Callable[[Any], str],
 ) -> None:
     """Check P(event | key) = expected(key) for every key that has weight.
 
     ``rows`` holds (key, weight, event) with integer weights over one shared
     denominator, which cancels from each ratio; keys are checked in the order
-    they first appear.
+    they first appear.  ``expected(key)`` is None for a key that must carry
+    no weight; meeting one is a failed case.
     """
     den: dict = {}
     num: dict = {}
@@ -286,7 +288,11 @@ def _conditional(
         if event:
             num[key] = num.get(key, 0) + w
     for key, d in den.items():
-        check.record_ratio(lambda: describe(key), expected(key), num.get(key, 0), d)
+        want = expected(key)
+        if want is None:
+            check.fail(f"{describe(key)}: expected no weight on this key, got some")
+        else:
+            check.record_ratio(lambda: describe(key), want, num.get(key, 0), d)
 
 
 def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:

@@ -6,6 +6,10 @@ expert is queried; the episode stops there iff t is at or past the stop
 threshold for the response.  Once the budget is spent, the first record at or
 past the final threshold stops the episode.  Episodes that never stop are
 failures, not errors.
+
+This is one of three walkers of a ``ThresholdSet``, with ``sim`` and
+``oracle``; they are checked against one another, so none imports another.
+``run_strategy`` checks only the horizon n, since a rank stream has no K or M.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .solver import ThresholdSet
+from .solver import HorizonMismatch, ThresholdSet
 
 # A response source: called with (time, current sample is best) -> level 1..M.
 Genie = Callable[[int, bool], int]
@@ -21,15 +25,6 @@ Genie = Callable[[int, bool], int]
 
 class NotAPermutation(ValueError):
     pass
-
-
-class HorizonMismatch(ValueError):
-    """Thresholds run on an instance they were not solved for.
-
-    A walker refuses thresholds whose horizon n, budget K or number of
-    response levels M differs from the instance it is given; the message
-    names the field.  ``run_strategy`` checks n: a rank stream has no K or M.
-    """
 
 
 class GenieExhausted(RuntimeError):

@@ -12,6 +12,11 @@ from a Philox stream keyed by SeedSequence(seed, spawn_key=(b,)).  Because the
 block layout depends only on the trial count, results are a pure function of
 (spec, thresholds, trials, seed) at any parallelism level, and aggregation is
 exact integer addition.
+
+The walk shares no code with the other two walkers of a ``ThresholdSet``
+(``policy.run_strategy`` and ``oracle.exact_success_probability``) and imports
+neither; thresholds that do not fit the spec are refused by
+``ThresholdSet.check_fits``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from functools import partial
 import numpy as np
 
 from .model import ProblemSpec, ValidationError
-from .policy import HorizonMismatch
 from .solver import ThresholdSet
 
 BLOCK_TRIALS = 8192
@@ -83,8 +87,8 @@ def _simulate_block(
     # gate[k-1]: first time stage k may act
     gate = np.array([*thresholds.r, thresholds.r_f], dtype=np.int64)
     s_arr = np.asarray(thresholds.s, dtype=np.int64).reshape(K, M)
-    cp = np.cumsum([float(x) for x in spec.model.p])
-    cq = np.cumsum([float(x) for x in spec.model.q])
+    p, q = spec.model.float_weights()
+    cp, cq = np.cumsum(p), np.cumsum(q)
 
     # cand: the record each live episode acts on at stage k (query k, or the
     # final stop at k = K+1).  Every live episode is at the same stage.
@@ -120,11 +124,7 @@ def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> 
     Blocks run in a process pool of min(cfg.parallelism, CPU count, blocks)
     workers; the result does not depend on the pool size.
     """
-    for name, solved, given in (
-        ("n", thresholds.n, spec.n), ("K", thresholds.K, spec.K), ("M", thresholds.M, spec.model.M)
-    ):
-        if solved != given:
-            raise HorizonMismatch(f"thresholds for {name}={solved}, spec has {name}={given}")
+    thresholds.check_fits(spec)
     run_block = partial(_simulate_block, spec, thresholds, cfg.seed)
     blocks = [
         (i // BLOCK_TRIALS, min(BLOCK_TRIALS, cfg.trials - i))

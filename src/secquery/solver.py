@@ -65,13 +65,24 @@ class ValueTables:
         return self.U[k - 1][t]
 
 
+class HorizonMismatch(ValueError):
+    """Thresholds run on an instance they were not solved for.
+
+    ``ThresholdSet.check_fits`` refuses an instance whose horizon n, budget K
+    or number of response levels M differs; the message names the field.
+    ``run_strategy`` checks n alone: a rank stream has no K or M.
+    """
+
+
 @dataclass(frozen=True)
 class ThresholdSet:
     """The optimal strategy in compact form.
 
     ``r[k-1]`` gates the k-th query, ``s[k-1][m-1]`` is the stop threshold for
     response m at the k-th query, ``r_f`` gates the final stop once the budget
-    is spent.  ``success_probability`` equals A[0][0].
+    is spent.  ``success_probability`` equals A[0][0].  A set whose ``s`` is
+    not K rows of M entries, or with a threshold outside 1..n, is refused with
+    a ValidationError.
     """
 
     n: int
@@ -81,13 +92,31 @@ class ThresholdSet:
     s: tuple[tuple[int, ...], ...]
     success_probability: Number
 
+    def __post_init__(self) -> None:
+        if len(self.s) != self.K or any(len(row) != self.M for row in self.s):
+            raise ValidationError(
+                f"s must be K={self.K} rows of M={self.M} entries, "
+                f"got rows of {[len(row) for row in self.s]}"
+            )
+        for name, t in (
+            ("r_f", self.r_f),
+            *(("r", t) for t in self.r),
+            *(("s", t) for row in self.s for t in row),
+        ):
+            if not 1 <= t <= self.n:
+                raise ValidationError(f"{name} threshold {t} outside 1..n={self.n}")
+
     @property
     def K(self) -> int:
         return len(self.r)
 
-
-def _float_weights(model: ResponseModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    return tuple(float(x) for x in model.p), tuple(float(x) for x in model.q)
+    def check_fits(self, spec: ProblemSpec) -> None:
+        """Raise HorizonMismatch unless these thresholds were solved for spec's n, K and M."""
+        for name, solved, given in (
+            ("n", self.n, spec.n), ("K", self.K, spec.K), ("M", self.M, spec.model.M)
+        ):
+            if solved != given:
+                raise HorizonMismatch(f"thresholds for {name}={solved}, spec has {name}={given}")
 
 
 def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
@@ -171,7 +200,7 @@ def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Frac
 def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]]:
     """A[0..K] and U[0..K+1] rows (U[0] unused) in IEEE doubles."""
     n, K = spec.n, spec.K
-    p, q = _float_weights(spec.model)
+    p, q = spec.model.float_weights()
     M = spec.model.M
     sum_q = sum(q, 0.0)
 
@@ -248,7 +277,7 @@ def _stop_thresholds(tables: ValueTables, lag: int) -> tuple[tuple[int, ...], ..
             return lambda t: _p_arm_wins(pm, qm, n, t, a[t])
 
     else:
-        p, q = _float_weights(spec.model)
+        p, q = spec.model.float_weights()
         ratio = tables.U[spec.K]
 
         def stop(pm, qm, a):

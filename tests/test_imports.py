@@ -1,4 +1,5 @@
-"""Every import in the package and in the tests is used."""
+"""Every import in the package and in the tests is used, and the three
+strategy walkers (policy, sim, oracle) do not import one another."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,47 @@ def test_no_unused_imports():
         for entry in unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+WALKERS = ("policy", "sim", "oracle")
+
+
+def walker_imports(source: str) -> list[str]:
+    """Walker modules a source imports, relatively or by package name, as "line:module"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [(node.level, f"{base}.{alias.name}".lstrip(".")) for alias in node.names]
+        else:
+            continue
+        for level, name in names:
+            parts = name.split(".")
+            if level == 0 and parts[0] == "secquery":
+                parts = parts[1:]
+            elif level == 0:
+                continue
+            if parts and parts[0] in WALKERS:
+                found.append(f"{node.lineno}:{parts[0]}")
+    return found
+
+
+def test_walker_imports_are_found():
+    source = (
+        "from .policy import HorizonMismatch\n"
+        "from . import sim\n"
+        "import secquery.oracle\n"
+        "from secquery import policy\n"
+        "from .solver import ThresholdSet\n"
+        "from numpy import random\n"
+    )
+    assert walker_imports(source) == ["1:policy", "2:sim", "3:oracle", "4:policy"]
+
+
+def test_walkers_do_not_import_each_other():
+    # The walkers are checked against one another, so they share no code.
+    package = ROOT / "src" / "secquery"
+    found = {name: walker_imports((package / f"{name}.py").read_text()) for name in WALKERS}
+    assert found == {name: [] for name in WALKERS}

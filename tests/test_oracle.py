@@ -332,6 +332,18 @@ def test_lemma_suites_catch_a_corrupted_enumeration(monkeypatch):
     }
 
 
+def test_lemma2_reports_a_key_the_formula_leaves_undefined(monkeypatch):
+    # With the best of (1, 1, 1, 1) moved to time 3, the infallible expert
+    # answers 2 at a record at t = 4 = n, where p(2)t + q(2)(n-t) = 0: no
+    # posterior is defined for that key, and the suite must say so, not crash.
+    real = oracle._enumerate
+    monkeypatch.setattr(oracle, "_enumerate", lambda n: [*real(n)[:-1], ((1, 1, 1, 1), 3)])
+    report = verify_lemma2(4, INFALLIBLE)
+    assert not report.passed
+    check = next(c for c in report.checks if c.name == "queried-sample-posterior")
+    assert check.failures[0] == "tq=(4,) zeta=(2,): expected no weight on this key, got some"
+
+
 # -- integer comparison path ------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from helpers import as_float_model, random_dyadic_model, random_instance
 from secquery import (
     NumericMode,
     ProblemSpec,
+    ThresholdSet,
     ValidationError,
     classical_threshold,
     compute_tables,
@@ -88,6 +90,23 @@ def test_threshold_bounds_are_guaranteed(rng):
         assert 1 <= ts.r_f <= spec.n
         assert all(1 <= v <= spec.n for v in ts.r)
         assert all(1 <= v <= spec.n for row in ts.s for v in row)
+
+
+def test_threshold_set_is_validated_on_construction():
+    ok = ThresholdSet(5, 2, 3, (4, 2), ((5, 1), (2, 5)), 0)
+    bad = [
+        # r_f = 0: monte_carlo gave 0.0, exact_success_probability 1/6 (as at r_f = 1)
+        lambda: ThresholdSet(6, 2, 0, (), (), 0),
+        lambda: ThresholdSet(6, 2, 7, (), (), 0),
+        lambda: ThresholdSet(5, 2, 3, (4, 2), ((5, 1), (2,)), 0),  # ragged s
+        lambda: ThresholdSet(5, 2, 3, (4, 2), ((5, 1),), 0),  # K - 1 rows
+        lambda: ThresholdSet(5, 2, 3, (4, 2), ((5, 1), (2, 5), (1, 1)), 0),  # K + 1 rows
+        lambda: replace(ok, r=(4, 6)),
+        lambda: replace(ok, s=((5, 0), (2, 5))),
+    ]
+    for build in bad:
+        with pytest.raises(ValidationError):
+            build()
 
 
 def test_solver_matches_enumeration_oracle():

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -134,6 +133,10 @@ def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> 
     if workers == 1:
         results = [run_block(b) for b in blocks]
     else:
+        # Imported here: the pool loads multiprocessing, which no other
+        # command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, blocks))
     successes = sum(r[0] for r in results)

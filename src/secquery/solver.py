@@ -27,6 +27,7 @@ is stage K+1 of the query rule: r_f is the least t with U[K+1][t] >= A[K][t].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,14 +37,15 @@ Row = tuple[Number, ...]
 
 # Largest solve compute_tables accepts, counted in table cells: A has K+1
 # rows and U has K+2 (the t/n row included), each of n+1 cells.  A float
-# solve of 7*10**6 cells (n = 10**6, K = 2) peaks near 0.3 GB; past the cap
-# a solve is refused before allocating instead of running out of memory.
+# solve of 7*10**6 cells (n = 10**6, K = 2, M = 4) peaks near 0.35 GB; past
+# the cap a solve is refused before allocating instead of running out of
+# memory.
 MAX_TABLE_CELLS = 10_000_000
 
 # Largest exact-rational solve, counted as table cells times n.  Exact values
 # carry denominators of thousands of bits, so the cost of a row grows faster
-# than n**2: on a 2-vCPU VM n = 1000, K = 10 (2.3e7) takes about 1 s,
-# n = 4000, K = 2 (1.1e8) 3 s and n = K = 390 (1.2e8) 7 s, while n = 20000,
+# than n**2: on a 2-vCPU VM n = 1000, K = 10 (2.3e7) takes about 0.6 s,
+# n = 4000, K = 2 (1.1e8) 2 s and n = K = 390 (1.2e8) 7 s, while n = 20000,
 # K = 2 (2.8e9) would run for minutes.  Float solves are not bound by it.
 MAX_RATIONAL_WORK = 120_000_000
 
@@ -167,9 +169,10 @@ def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Frac
     """A[0..K] and U[0..K+1] rows (U[0] unused) in exact rationals.
 
     The A step is A[t-1] = (A[t]*(t-1) + U[t]) / t where U[t] > A[t], and
-    A[t] otherwise.  In the U step each max is decided by an integer
-    comparison (``_p_arm_wins``) and the arms it picks are summed at once,
-    t/n * sum(winning p) + A * sum(winning q).
+    A[t] otherwise; the test is decided by correctly rounded floats of both
+    cells wherever they differ (``_greater``).  In the U step each max is
+    decided by an integer comparison (``_p_arm_wins``) and the arms it picks
+    are summed at once, t/n * sum(winning p) + A * sum(winning q).
     """
     n, K = spec.n, spec.K
     D, P, Q = spec.model.integer_weights()
@@ -179,9 +182,14 @@ def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Frac
     U.append([Fraction(t, n) for t in range(n + 1)])  # U[K+1][t] = t/n, the no-query reward
     for k in range(K, -1, -1):
         row, up = A[k], U[k + 1]
+        a = row[n]
+        a_float = float(a)
         for t in range(n, 1, -1):
-            a, u = row[t], up[t]
-            row[t - 1] = (a * (t - 1) + u) / t if u > a else a
+            u = up[t]
+            if _greater(u, float(u), a, a_float):
+                a = (a * (t - 1) + u) / t
+                a_float = float(a)
+            row[t - 1] = a
         row[0] = max(up[1], row[1])
         if k >= 1:
             uk = U[k]
@@ -197,55 +205,79 @@ def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Frac
     return A, U
 
 
+def _greater(x: Fraction, x_float: float, y: Fraction, y_float: float) -> bool:
+    """x > y, given the correctly rounded floats of x and y.
+
+    Rounding is monotone, so floats that differ order x and y the same way;
+    only equal floats leave the answer to the exact comparison.
+    """
+    if x_float != y_float:
+        return x_float > y_float
+    return x > y
+
+
 def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]]:
-    """A[0..K] and U[0..K+1] rows (U[0] unused) in IEEE doubles."""
+    """A[0..K] and U[0..K+1] rows (U[0] unused) in IEEE doubles.
+
+    The A step is a recurrence in t and runs cell by cell.  The U step has
+    none and runs arm by arm over whole rows, but every cell still goes
+    through the same IEEE operations, in the same m order, as in a loop over
+    m per cell; ``tests/test_table_digests.py`` pins the resulting bits.
+    """
     n, K = spec.n, spec.K
     p, q = spec.model.float_weights()
-    M = spec.model.M
-    sum_q = sum(q, 0.0)
+    # Summed left to right: since Python 3.12 the builtin sum() of floats is
+    # compensated, and the table bits would depend on the interpreter.
+    sum_p = sum_q = 0.0
+    for pm, qm in zip(p, q):
+        sum_p += pm
+        sum_q += qm
 
     A = [[0.0] * (n + 1) for _ in range(K + 1)]
-    U = [[0.0] * (n + 1) for _ in range(K + 1)]
+    U: list[list[float]] = [[] for _ in range(K + 1)]  # U[1..K] are built below
     ratio = [t / n for t in range(n + 1)]
     U.append(ratio)  # U[K+1][t] = t/n, the no-query reward; never rewritten
-    sum_p = sum(p, 0.0)
+    no_floor = [-math.inf] * (n + 1)  # the last stage has no row below it
     for k in range(K, -1, -1):
         row = A[k]
         up = U[k + 1]
-        below = A[k + 1] if k < K else None
+        below = A[k + 1] if k < K else no_floor
+        a = row[n]
         for t in range(n, 1, -1):
             # Slack form of the t-step: exact (no drift) wherever U <= A, so
             # flat stretches of A stay bit-flat and extraction ties are stable.
-            gain = up[t] - row[t]
-            cand = row[t] + gain / t if gain > 0.0 else row[t]
+            gain = up[t] - a
+            if gain > 0.0:
+                a += gain / t
             # Ratcheting against the already-built row with one more query
             # spent is a no-op on the true values (the inequality is a
             # theorem); in float it pins the stage ordering where the true
             # gap is below one ulp.
-            row[t - 1] = cand if below is None else max(cand, below[t - 1])
-        top = max(up[1], row[1])  # the t=1 step is exactly a max
-        row[0] = top if below is None else max(top, below[0])
+            b = below[t - 1]
+            if b > a:
+                a = b
+            row[t - 1] = a
+        row[0] = max(up[1], a, below[0])  # the t=1 step is exactly a max
         if k >= 1:
-            uk = U[k]
+            # Per cell: extra = sum of the positive d(m) = p(m)*t/n - q(m)*A
+            # in m order, and won = every d(m) > 0.
+            extra = [0.0] * (n + 1)
+            won = [True] * (n + 1)
+            for pm, qm in zip(p, q):
+                d = [pm * x - qm * a for x, a in zip(ratio, row)]
+                extra = [e + dm if dm > 0.0 else e for e, dm in zip(extra, d)]
+                won = [w and dm > 0.0 for w, dm in zip(won, d)]
+            # When every max picks its p-arm the sum collapses identically
+            # to t/n * sum(p); using that keeps the region exact in float.
+            # When none does, extra is zero and this is A * sum(q).
+            cand = [
+                x * sum_p if w else a * sum_q + e for w, x, a, e in zip(won, ratio, row, extra)
+            ]
+            # U >= A and U >= U[next stage] are theorems; same ratchet.
+            cand = [a if a > c else c for c, a in zip(cand, row)]
+            uk = [u if u > c else c for c, u in zip(cand, up)]
             uk[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
-            for t in range(1, n + 1):
-                x = ratio[t]
-                extra = 0.0
-                wins = 0
-                for m in range(M):
-                    d = p[m] * x - q[m] * row[t]
-                    if d > 0.0:
-                        extra += d
-                        wins += 1
-                # When every max picks its p-arm the sum collapses identically
-                # to t/n * sum(p); using that keeps the region exact in float.
-                # When none does, extra is zero and this is A * sum(q).
-                if wins == M:
-                    cand = x * sum_p
-                else:
-                    cand = row[t] * sum_q + extra
-                # U >= A and U >= U[next stage] are theorems; same ratchet.
-                uk[t] = max(cand, row[t], up[t])
+            U[k] = uk
     return A, U
 
 

@@ -2,6 +2,8 @@
 strategy walkers (policy, sim, oracle) do not import one another."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +86,10 @@ def test_walkers_do_not_import_each_other():
     package = ROOT / "src" / "secquery"
     found = {name: walker_imports((package / f"{name}.py").read_text()) for name in WALKERS}
     assert found == {name: [] for name in WALKERS}
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # Only a pooled monte_carlo needs multiprocessing; other commands skip its import.
+    code = "import sys, secquery.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import random
 import statistics
@@ -110,7 +111,7 @@ def test_monte_carlo_pool_capped_by_cpus_and_blocks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     model = symmetric_binary_model(0.8)
     spec = ProblemSpec(20, 3, model)
     _, ts = solve(20, 3, model)

@@ -20,6 +20,7 @@ from secquery import (
     thresholds_to_json,
     validate_model,
 )
+from secquery.solver import _greater
 
 RATIONAL = NumericMode.EXACT_RATIONAL
 FLOAT = NumericMode.FLOAT64
@@ -324,6 +325,17 @@ def test_exact_tables_are_the_literal_recursion(rng):
         tables = compute_tables(spec, RATIONAL)
         assert (tables.A, tables.U) == _literal_tables(spec), (n, K, model)
         check_table_orderings(tables, spec)
+
+
+def test_exact_compare_decides_float_ties_exactly():
+    # Random instances never reach this branch: their float ties are exact ties.
+    a = Fraction(1, 3)
+    b = a + Fraction(1, 2**100)
+    assert float(a) == float(b)
+    assert _greater(b, float(b), a, float(a))
+    assert not _greater(a, float(a), b, float(b))
+    assert not _greater(a, float(a), Fraction(1, 3), float(a))
+    assert _greater(Fraction(1, 2), 0.5, a, float(a))
 
 
 def _misreads_are_ties(n, got, want, margin, tol):

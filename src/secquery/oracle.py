@@ -55,27 +55,22 @@ class IdentityCheck:
             self.failures.append(text)
 
     def record(self, instance: str, expected: Fraction, actual: Fraction) -> None:
-        dev = abs(actual - expected)
-        if dev > self.worst_deviation:
-            self.worst_deviation = dev
-        if actual != expected:
-            self.fail(f"{instance}: expected {expected}, got {actual}")
-        else:
-            self.cases += 1
+        self.record_ratio(lambda: instance, expected, actual.numerator, actual.denominator)
 
     def record_ratio(
         self, describe: Callable[[], str], expected: Fraction, num: int, den: int
     ) -> None:
-        """``record(describe(), expected, Fraction(num, den))`` for den > 0.
+        """Check num/den == expected, for den > 0.
 
         Compares by cross-multiplying integers, so a match builds neither a
-        Fraction nor the instance text; a mismatch goes through ``record`` and
-        reports the same exact values.
+        Fraction nor the instance text; a mismatch reports the exact values.
         """
         if num * expected.denominator == expected.numerator * den:
             self.cases += 1
-        else:
-            self.record(describe(), expected, Fraction(num, den))
+            return
+        actual = Fraction(num, den)
+        self.worst_deviation = max(self.worst_deviation, abs(actual - expected))
+        self.fail(f"{describe()}: expected {expected}, got {actual}")
 
 
 @dataclass
@@ -125,16 +120,14 @@ def exact_success_probability(spec: ProblemSpec, thresholds: ThresholdSet) -> Fr
     D, P, Q = spec.model.integer_weights()
     unit = D**K
     total = 0
-    r, s, r_f = thresholds.r, thresholds.s, thresholds.r_f
+    gates, s = thresholds.gates, thresholds.s
     for z, best in _enumerate(n):
         stack: list[tuple[int, int, int]] = [(1, 1, unit)]
         while stack:
             t, k, w = stack.pop()
-            # advance to the next actionable record
-            while t <= n and not (
-                z[t - 1] == 1
-                and ((k <= K and t >= r[k - 1]) or (k > K and t >= r_f))
-            ):
+            # advance to the record stage k acts on: query k, or the final
+            # stop at k = K+1
+            while t <= n and not (z[t - 1] == 1 and t >= gates[k - 1]):
                 t += 1
             if t > n:
                 continue

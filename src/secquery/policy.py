@@ -101,33 +101,34 @@ class ScriptedGenie:
 def run_strategy(thresholds: ThresholdSet, stream: RankStream, genie: Genie) -> EpisodeOutcome:
     """Execute the threshold strategy on one rank stream.
 
-    The walk keeps the index k of the next query (1..K, then K+1 once the
-    budget is spent).  A query and a final stop can never happen at the same
-    time step: after a query that continues, the walk moves on to t+1.
+    The walk keeps the stage k: query k for k <= K, the final stop at
+    k = K+1.  Stage k acts at the first record at or past ``gates[k-1]``.  A
+    query and a final stop can never happen at the same time step: after a
+    query that continues, the walk moves on to t+1.
     """
     if thresholds.n != stream.n:
         raise HorizonMismatch(f"thresholds solved for n={thresholds.n}, stream has n={stream.n}")
     n, K, M = stream.n, thresholds.K, thresholds.M
+    gates = thresholds.gates
     best_time = stream.best_time
     k = 1
     queries: list[tuple[int, int]] = []
     selected: int | None = None
     stopped_at_query = False
     for t in range(1, n + 1):
-        if stream.z[t - 1] != 1:
+        if stream.z[t - 1] != 1 or t < gates[k - 1]:
             continue
-        if k <= K and t >= thresholds.r[k - 1]:
-            level = genie(t, t == best_time)
-            if not (1 <= level <= M):
-                raise ValueError(f"genie response {level} outside 1..{M}")
-            queries.append((t, level))
-            if t >= thresholds.s[k - 1][level - 1]:
-                selected, stopped_at_query = t, True
-                break
-            k += 1
-        elif k > K and t >= thresholds.r_f:
+        if k > K:
             selected = t
             break
+        level = genie(t, t == best_time)
+        if not (1 <= level <= M):
+            raise ValueError(f"genie response {level} outside 1..{M}")
+        queries.append((t, level))
+        if t >= thresholds.s[k - 1][level - 1]:
+            selected, stopped_at_query = t, True
+            break
+        k += 1
     return EpisodeOutcome(
         selected=selected,
         queries_used=tuple(queries),

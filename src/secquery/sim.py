@@ -79,12 +79,12 @@ def _next_record(rng: np.random.Generator, pos: np.ndarray, n: int) -> np.ndarra
 
 def _simulate_block(
     spec: ProblemSpec, thresholds: ThresholdSet, seed: int, block: tuple[int, int]
-) -> tuple[int, int, int]:
+) -> tuple[int, int]:
+    """(successes, queries) of one block of episodes."""
     block_index, block_size = block
     n, K, M = spec.n, spec.K, spec.model.M
     rng = _block_rng(seed, block_index)
-    # gate[k-1]: first time stage k may act
-    gate = np.array([*thresholds.r, thresholds.r_f], dtype=np.int64)
+    gate = np.array(thresholds.gates, dtype=np.int64)
     s_arr = np.asarray(thresholds.s, dtype=np.int64).reshape(K, M)
     p, q = spec.model.float_weights()
     cp, cq = np.cumsum(p), np.cumsum(q)
@@ -114,14 +114,15 @@ def _simulate_block(
         cand = after[~stop]
         early = cand < gate[k]
         cand[early] = _next_record(rng, np.full(int(np.count_nonzero(early)), gate[k] - 1), n)
-    return successes, queries, block_size
+    return successes, queries
 
 
 def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> SimResult:
     """Estimate the success probability over cfg.trials independent episodes.
 
-    Blocks run in a process pool of min(cfg.parallelism, CPU count, blocks)
-    workers; the result does not depend on the pool size.
+    Blocks run in a process pool of min(cfg.parallelism, usable CPUs, blocks)
+    workers, where usable CPUs are those this process may run on; the result
+    does not depend on the pool size.
     """
     thresholds.check_fits(spec)
     run_block = partial(_simulate_block, spec, thresholds, cfg.seed)
@@ -129,7 +130,8 @@ def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> 
         (i // BLOCK_TRIALS, min(BLOCK_TRIALS, cfg.trials - i))
         for i in range(0, cfg.trials, BLOCK_TRIALS)
     ]
-    workers = min(cfg.parallelism, os.cpu_count() or 1, len(blocks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.parallelism, cpus or 1, len(blocks))
     if workers == 1:
         results = [run_block(b) for b in blocks]
     else:

@@ -27,7 +27,6 @@ is stage K+1 of the query rule: r_f is the least t with U[K+1][t] >= A[K][t].
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,6 +110,11 @@ class ThresholdSet:
     @property
     def K(self) -> int:
         return len(self.r)
+
+    @property
+    def gates(self) -> tuple[int, ...]:
+        """(r_1, ..., r_K, r_f): the first time each of the K+1 stages may act."""
+        return (*self.r, self.r_f)
 
     def check_fits(self, spec: ProblemSpec) -> None:
         """Raise HorizonMismatch unless these thresholds were solved for spec's n, K and M."""
@@ -237,11 +241,9 @@ def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]
     U: list[list[float]] = [[] for _ in range(K + 1)]  # U[1..K] are built below
     ratio = [t / n for t in range(n + 1)]
     U.append(ratio)  # U[K+1][t] = t/n, the no-query reward; never rewritten
-    no_floor = [-math.inf] * (n + 1)  # the last stage has no row below it
     for k in range(K, -1, -1):
         row = A[k]
         up = U[k + 1]
-        below = A[k + 1] if k < K else no_floor
         a = row[n]
         for t in range(n, 1, -1):
             # Slack form of the t-step: exact (no drift) wherever U <= A, so
@@ -249,15 +251,13 @@ def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]
             gain = up[t] - a
             if gain > 0.0:
                 a += gain / t
-            # Ratcheting against the already-built row with one more query
-            # spent is a no-op on the true values (the inequality is a
-            # theorem); in float it pins the stage ordering where the true
-            # gap is below one ulp.
-            b = below[t - 1]
-            if b > a:
-                a = b
             row[t - 1] = a
-        row[0] = max(up[1], a, below[0])  # the t=1 step is exactly a max
+        row[0] = max(up[1], a)  # the t=1 step is exactly a max
+        if k < K:
+            # A[k] >= A[k+1] (one more query spent) is a theorem, so this is a
+            # no-op on the true values; in float it pins the stage ordering
+            # where the true gap is below one ulp.
+            A[k] = row = [b if b > a else a for a, b in zip(row, A[k + 1])]
         if k >= 1:
             # Per cell: extra = sum of the positive d(m) = p(m)*t/n - q(m)*A
             # in m order, and won = every d(m) > 0.

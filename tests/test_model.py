@@ -49,6 +49,11 @@ def test_validate_rejects_length_mismatch():
         validate_model(3, (0.5, 0.5), (0.2, 0.3, 0.5))
 
 
+def test_validate_rejects_empty_model():
+    with pytest.raises(ValidationError, match="M must be >= 1, got 0"):
+        validate_model(0, (), ())
+
+
 def test_inert_levels_are_legal():
     m = validate_model(3, (Fraction(1), 0, 0), (0, 0, Fraction(1)))
     assert m.p[1] == m.q[1] == 0
@@ -120,6 +125,10 @@ def test_parse_config_validates_labels():
     text = '{"n": 2, "K": 0, "M": 2, "p": [1, 0], "q": [0, 1], "labels": ["yes"]}'
     with pytest.raises(LengthMismatch):
         parse_config(text)
+    for labels in ('["yes", 2]', '"yes,no"'):
+        text = '{"n": 2, "K": 0, "M": 2, "p": [1, 0], "q": [0, 1], "labels": %s}' % labels
+        with pytest.raises(ValidationError, match="labels must be an array of strings"):
+            parse_config(text)
 
 
 def test_parse_config_rejects_missing_keys_and_bad_json():
@@ -127,6 +136,12 @@ def test_parse_config_rejects_missing_keys_and_bad_json():
         parse_config('{"n": 2}')
     with pytest.raises(ValidationError):
         parse_config("not json")
+    with pytest.raises(ValidationError, match="config must be a JSON object"):
+        parse_config('[{"n": 2, "K": 0, "M": 1, "p": [1], "q": [1]}]')
+    for p, q in (('"1"', "[1]"), ("[1]", "{}")):
+        text = '{"n": 2, "K": 0, "M": 1, "p": %s, "q": %s}' % (p, q)
+        with pytest.raises(ValidationError, match="p and q must be arrays"):
+            parse_config(text)
 
 
 @pytest.mark.parametrize("literal", ["abc", "1/0", "nan", "1e999", "", None])

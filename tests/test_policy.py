@@ -47,6 +47,9 @@ def test_rank_stream_validation():
         RankStream(3, (1, 3, 1))  # z_2 > 2
     with pytest.raises(ValueError):
         RankStream(2, (2, 1))  # z_1 must be 1
+    for z in ((1, 1), (1, 2, 1, 1)):
+        with pytest.raises(ValueError, match="rank stream needs exactly n=3 entries"):
+            RankStream(3, z)
 
 
 def test_best_time_is_last_record():
@@ -89,6 +92,14 @@ def test_scripted_genie_exhaustion():
     stream = relative_ranks((6, 5, 4, 3, 2, 1))  # record at every t
     with pytest.raises(GenieExhausted):
         run_strategy(ts, stream, ScriptedGenie([]))
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_genie_response_outside_levels_is_refused(level):
+    _, ts = solve(6, 2, symmetric_binary_model(0.8))
+    stream = relative_ranks((6, 5, 4, 3, 2, 1))  # record at every t
+    with pytest.raises(ValueError, match=f"genie response {level} outside 1..2"):
+        run_strategy(ts, stream, ScriptedGenie([level]))
 
 
 def test_infallible_query_stop_iff_level_one(rng):

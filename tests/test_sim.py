@@ -118,7 +118,13 @@ def test_monte_carlo_pool_capped_by_cpus_and_blocks(monkeypatch):
     serial = monte_carlo(spec, ts, SimConfig(trials=3 * BLOCK_TRIALS, seed=5))
     huge = SimConfig(trials=3 * BLOCK_TRIALS, seed=5, parallelism=10_000)
     for cpus in (2, 64, None):
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        if cpus is None:  # no affinity call on this platform, and no CPU count
+            monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(
+                sim.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
         assert monte_carlo(spec, ts, huge) == serial
     # 2 CPUs cap the pool at 2, 64 CPUs at the 3 blocks; an unknown count runs in process.
     assert pool_sizes == [2, 3]

@@ -124,8 +124,7 @@ def symmetric_binary_model(p: Number) -> ResponseModel:
     with probability p in both states.  p=1 is the infallible expert, p=1/2
     the uninformative one.
     """
-    one: Number = Fraction(1) if _is_exact(p) else 1.0
-    return ResponseModel(2, (p, one - p), (one - p, p))
+    return ResponseModel(2, (p, 1 - p), (1 - p, p))
 
 
 @dataclass(frozen=True)

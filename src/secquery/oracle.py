@@ -54,9 +54,6 @@ class IdentityCheck:
         if len(self.failures) < 5:
             self.failures.append(text)
 
-    def record(self, instance: str, expected: Fraction, actual: Fraction) -> None:
-        self.record_ratio(lambda: instance, expected, actual.numerator, actual.denominator)
-
     def record_ratio(
         self, describe: Callable[[], str], expected: Fraction, num: int, den: int
     ) -> None:
@@ -76,7 +73,6 @@ class IdentityCheck:
 @dataclass
 class LemmaReport:
     lemma: str
-    n: int
     checks: list[IdentityCheck]
 
     @property
@@ -258,7 +254,7 @@ def verify_lemma1(n: int) -> LemmaReport:
                     lambda: f"t={t} t1={t1} prefix={key}", joint if ind else zero, row[t1], nfact
                 )
         prev_counts = counts
-    return LemmaReport("lemma1", n, [prefix_prob, next_rank, joint_now, joint_earlier])
+    return LemmaReport("lemma1", [prefix_prob, next_rank, joint_now, joint_earlier])
 
 
 def _conditional(
@@ -390,7 +386,7 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                     lambda key: f"tq={tq} zeta={key[1]} t={t}",
                 )
     return LemmaReport(
-        "lemma2", n, [cur_posterior, query_posterior, response_marginal, next_record]
+        "lemma2", [cur_posterior, query_posterior, response_marginal, next_record]
     )
 
 

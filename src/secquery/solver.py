@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 from .model import Number, NumericMode, ProblemSpec, ResponseModel, ValidationError
 
@@ -375,16 +376,15 @@ def _fmt(x: Number) -> str:
     return f"{float(x):.10g}"
 
 
-def tables_to_csv(tables: ValueTables) -> str:
-    """Dense CSV dump, header k,t,A,U; U blank at k=0 and A blank at k=K+1."""
+def tables_to_csv(tables: ValueTables, out: TextIO) -> None:
+    """Write a dense CSV dump row by row: header k,t,A,U; U blank at k=0, A at k=K+1."""
     K, n = tables.spec.K, tables.spec.n
-    lines = ["k,t,A,U"]
+    out.write("k,t,A,U\n")
     for k in range(K + 2):
         for t in range(n + 1):
             a = _fmt(tables.a(k, t)) if k <= K else ""
             u = _fmt(tables.u(k, t)) if k >= 1 else ""
-            lines.append(f"{k},{t},{a},{u}")
-    return "\n".join(lines) + "\n"
+            out.write(f"{k},{t},{a},{u}\n")
 
 
 def thresholds_to_json(ts: ThresholdSet) -> str:
@@ -393,7 +393,7 @@ def thresholds_to_json(ts: ThresholdSet) -> str:
             "r_f": ts.r_f,
             "r": list(ts.r),
             "s": [list(row) for row in ts.s],
-            "success_probability": float(f"{float(ts.success_probability):.10g}"),
+            "success_probability": float(_fmt(ts.success_probability)),
         },
         indent=2,
     )

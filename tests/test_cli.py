@@ -92,6 +92,28 @@ def test_solve_writes_tables_and_out(tmp_path):
     assert tables.read_text().startswith("k,t,A,U\n")
 
 
+def test_solve_tables_bytes(tmp_path):
+    # The CSV is rebuilt here from the tables, not through tables_to_csv.
+    from secquery import NumericMode, compute_tables, read_config
+
+    def fmt(x):
+        return f"{float(x):.10g}"
+
+    for p, mode in (("0.8", "float"), ("4/5", "rational")):
+        config = write_config(tmp_path, n=12, K=3, p=p)
+        out = tmp_path / f"tables_{mode}.csv"
+        cp = run_cli("solve", "--config", str(config), "--tables", str(out), "--mode", mode)
+        assert cp.returncode == 0, cp.stderr
+        tables = compute_tables(read_config(config, NumericMode(mode)), NumericMode(mode))
+        K, n = tables.spec.K, tables.spec.n
+        rows = ["k,t,A,U"] + [
+            f"{k},{t},{fmt(tables.a(k, t)) if k <= K else ''},{fmt(tables.u(k, t)) if k else ''}"
+            for k in range(K + 2)
+            for t in range(n + 1)
+        ]
+        assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 def test_solve_invalid_config_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 5, "K": 9, "M": 2, "p": [1, 0], "q": [0, 1]}')
@@ -174,6 +196,11 @@ def test_sweep_matches_golden():
 def test_sweep_k_range_is_validated():
     cp = run_cli("sweep", "--n", "10", "--k-range", "0:20", "--p-values", "0.9")
     assert cp.returncode == 1
+    for n, k_range in (("10", "-1:3"), ("10", "3:2"), ("10", "0:11"), ("0", "0:10")):
+        cp = run_cli("sweep", "--n", n, f"--k-range={k_range}", "--p-values", "0.9")
+        assert cp.returncode == 1, (n, k_range, cp.stderr)
+        assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+        assert cp.stdout == ""
 
 
 def test_sweep_reads_fraction_literals_like_decimals():
@@ -375,8 +402,8 @@ def test_verify_failure_exits_2_with_exact_deviation(monkeypatch, capsys):
 
     def failing_lemma2(n, model):
         check = IdentityCheck("record-posterior")
-        check.record("tq=(1,) zeta=(2,) t=3", Fraction(3, 4), Fraction(2, 3))
-        return LemmaReport("lemma2", n, [check])
+        check.record_ratio(lambda: "tq=(1,) zeta=(2,) t=3", Fraction(3, 4), 2, 3)
+        return LemmaReport("lemma2", [check])
 
     monkeypatch.setattr(cli, "verify_lemma2", failing_lemma2)
     assert cli.main(["verify", "--max-n", "3", "--models", "1"]) == 2

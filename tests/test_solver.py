@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 from fractions import Fraction
 
@@ -237,7 +238,9 @@ def test_success_monotone_in_budget():
 
 def test_tables_csv_export():
     tables, _ = solve(4, 1, symmetric_binary_model(0.8))
-    lines = tables_to_csv(tables).strip().splitlines()
+    out = io.StringIO()
+    tables_to_csv(tables, out)
+    lines = out.getvalue().strip().splitlines()
     assert lines[0] == "k,t,A,U"
     assert len(lines) == 1 + 3 * 5  # k in 0..K+1, t in 0..n
     k0 = dict(zip(("k", "t", "A", "U"), lines[1].split(",")))

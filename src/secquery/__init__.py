@@ -12,7 +12,6 @@ from .model import (
     parse_config,
     read_config,
     symmetric_binary_model,
-    validate_model,
 )
 from .oracle import (
     BudgetExceeded,
@@ -42,8 +41,6 @@ from .solver import (
     compute_tables,
     extract_thresholds,
     pre_query_stop_thresholds,
-    tables_to_csv,
-    thresholds_to_json,
 )
 
 __version__ = "0.1.0"

@@ -13,8 +13,10 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 from .model import (
+    Number,
     NumericMode,
     ProblemSpec,
     ValidationError,
@@ -34,12 +36,12 @@ from .oracle import (
 )
 from .sim import SimConfig, monte_carlo
 from .solver import (
+    ThresholdSet,
+    ValueTables,
     classical_threshold,
     compute_tables,
     extract_thresholds,
     pre_query_stop_thresholds,
-    tables_to_csv,
-    thresholds_to_json,
 )
 
 TABLE2_P_VALUES = ("0.50", "0.60", "0.70", "0.80", "0.90", "0.95", "0.98", "1.00")
@@ -50,22 +52,45 @@ TABLE2_K = 10
 MAX_VERIFY_MODELS = 1000
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise ValidationError(message)
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+
+
+def _fmt(x: Number) -> str:
+    return f"{float(x):.10g}"
+
+
+def tables_to_csv(tables: ValueTables, out: TextIO) -> None:
+    """Write a dense CSV dump row by row: header k,t,A,U; U blank at k=0, A at k=K+1."""
+    K, n = tables.spec.K, tables.spec.n
+    out.write("k,t,A,U\n")
+    for k in range(K + 2):
+        for t in range(n + 1):
+            a = _fmt(tables.a(k, t)) if k <= K else ""
+            u = _fmt(tables.u(k, t)) if k >= 1 else ""
+            out.write(f"{k},{t},{a},{u}\n")
+
+
+def thresholds_to_json(ts: ThresholdSet) -> str:
+    return json.dumps(
+        {
+            "r_f": ts.r_f,
+            "r": list(ts.r),
+            "s": [list(row) for row in ts.s],
+            "success_probability": float(_fmt(ts.success_probability)),
+        },
+        indent=2,
+    )
 
 
 def table2_csv(mode: NumericMode = NumericMode.FLOAT64) -> str:
@@ -118,9 +143,9 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(part) for part in text.split(":"))
     except ValueError:
-        raise UsageError(f"--k-range must look like A:B, got {text!r}") from None
+        raise ValidationError(f"--k-range must look like A:B, got {text!r}") from None
     if not 0 <= lo <= hi:
-        raise UsageError(f"--k-range must have 0 <= A <= B, got {text!r}")
+        raise ValidationError(f"--k-range must have 0 <= A <= B, got {text!r}")
     return lo, hi
 
 
@@ -128,7 +153,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = _parse_k_range(args.k_range)
     p_literals = [tok.strip() for tok in args.p_values.split(",") if tok.strip()]
     if not p_literals:
-        raise UsageError("--p-values is empty")
+        raise ValidationError("--p-values is empty")
     ks = sorted(set(range(lo, hi + 1)) | {0})  # K=0 baseline always included
     points = [(parse_prob(literal, args.mode), literal) for literal in p_literals]
     lines = ["p,K,success"]
@@ -137,7 +162,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # solve per model gives every K: its value is A[hi-K][0].
         tables = compute_tables(ProblemSpec(args.n, hi, symmetric_binary_model(p)), args.mode)
         for K in ks:
-            lines.append(f"{literal},{K},{float(tables.a(hi - K, 0)):.10g}")
+            lines.append(f"{literal},{K},{_fmt(tables.a(hi - K, 0))}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -191,7 +216,7 @@ def _lemma_checks(report: LemmaReport, instance: str) -> list[dict]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1 or not 0 <= args.models <= MAX_VERIFY_MODELS:
-        raise UsageError(
+        raise ValidationError(
             f"need --max-n >= 1 and 0 <= --models <= MAX_VERIFY_MODELS={MAX_VERIFY_MODELS},"
             f" got {args.max_n}, {args.models}"
         )
@@ -292,13 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (UsageError, ValidationError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 Number = Union[int, float, Fraction]
 
@@ -112,11 +112,6 @@ class ResponseModel:
         return D, [int(x * D) for x in p], [int(x * D) for x in q]
 
 
-def validate_model(M: int, p: Sequence[Number], q: Sequence[Number]) -> ResponseModel:
-    """Validate and freeze a response model; no silent normalization."""
-    return ResponseModel(M, tuple(p), tuple(q))
-
-
 def symmetric_binary_model(p: Number) -> ResponseModel:
     """Two-level model parametrized by a single reliability p.
 
@@ -172,11 +167,13 @@ def parse_prob(x: object, mode: NumericMode) -> Number:
     raise ValidationError(f"probability entry {x!r} is not a number or 'a/b' string")
 
 
-def parse_config(text: str, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
+def parse_config(text: str | bytes, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
     """Parse a JSON config into a validated ProblemSpec.
 
     Decimal numbers are read like decimal strings, by ``parse_prob``: exactly
     in rational mode (0.9 becomes 9/10), rounded once to float otherwise.
+    Bytes are decoded by ``json.loads`` as UTF-8, -16 or -32, whatever the
+    locale, and undecodable bytes are refused like any other invalid JSON.
     """
     try:
         raw = json.loads(text, parse_float=str)
@@ -200,10 +197,10 @@ def parse_config(text: str, mode: NumericMode = NumericMode.FLOAT64) -> ProblemS
             raise ValidationError("labels must be an array of strings")
         if len(labels) != M:
             raise LengthMismatch(f"labels has length {len(labels)}, expected M={M}")
-    model = validate_model(M, p, q)
+    model = ResponseModel(M, p, q)
     return ProblemSpec(n=n, K=K, model=model)
 
 
 def read_config(path: str | Path, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
-    return parse_config(Path(path).read_text(), mode)
+    return parse_config(Path(path).read_bytes(), mode)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Any, Callable, Iterable
 
-from .model import ProblemSpec, ResponseModel, validate_model
+from .model import ProblemSpec, ResponseModel
 from .solver import ThresholdSet
 
 
@@ -400,4 +400,4 @@ def random_exact_model(rng: random.Random, M: int, denominator: int = 24) -> Res
             Fraction(bounds[i + 1] - bounds[i], denominator) for i in range(M)
         )
 
-    return validate_model(M, dist(), dist())
+    return ResponseModel(M, dist(), dist())

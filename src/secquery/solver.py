@@ -26,10 +26,8 @@ is stage K+1 of the query rule: r_f is the least t with U[K+1][t] >= A[K][t].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
 
 from .model import Number, NumericMode, ProblemSpec, ResponseModel, ValidationError
 
@@ -367,33 +365,3 @@ def classical_threshold(n: int, mode: NumericMode = NumericMode.FLOAT64) -> tupl
     tables = compute_tables(ProblemSpec(n=n, K=0, model=_UNINFORMATIVE), mode)
     ts = extract_thresholds(tables)
     return ts.r_f, ts.success_probability
-
-
-# -- exports -----------------------------------------------------------------
-
-
-def _fmt(x: Number) -> str:
-    return f"{float(x):.10g}"
-
-
-def tables_to_csv(tables: ValueTables, out: TextIO) -> None:
-    """Write a dense CSV dump row by row: header k,t,A,U; U blank at k=0, A at k=K+1."""
-    K, n = tables.spec.K, tables.spec.n
-    out.write("k,t,A,U\n")
-    for k in range(K + 2):
-        for t in range(n + 1):
-            a = _fmt(tables.a(k, t)) if k <= K else ""
-            u = _fmt(tables.u(k, t)) if k >= 1 else ""
-            out.write(f"{k},{t},{a},{u}\n")
-
-
-def thresholds_to_json(ts: ThresholdSet) -> str:
-    return json.dumps(
-        {
-            "r_f": ts.r_f,
-            "r": list(ts.r),
-            "s": [list(row) for row in ts.s],
-            "success_probability": float(_fmt(ts.success_probability)),
-        },
-        indent=2,
-    )

@@ -2,7 +2,7 @@
 
 import random
 
-from secquery import ProblemSpec, ResponseModel, random_exact_model, validate_model
+from secquery import ProblemSpec, ResponseModel, random_exact_model
 
 
 def random_dyadic_model(rng: random.Random, M: int, bits: int = 20) -> ResponseModel:
@@ -16,7 +16,7 @@ def random_dyadic_model(rng: random.Random, M: int, bits: int = 20) -> ResponseM
 
 
 def as_float_model(model: ResponseModel) -> ResponseModel:
-    return validate_model(
+    return ResponseModel(
         model.M, tuple(float(x) for x in model.p), tuple(float(x) for x in model.q)
     )
 

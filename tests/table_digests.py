@@ -30,14 +30,13 @@ from secquery import (
     pre_query_stop_thresholds,
     random_exact_model,
     symmetric_binary_model,
-    validate_model,
 )
 
 SEED = 20211
 
 
 def _float_model(model: ResponseModel) -> ResponseModel:
-    return validate_model(model.M, [float(x) for x in model.p], [float(x) for x in model.q])
+    return ResponseModel(model.M, [float(x) for x in model.p], [float(x) for x in model.q])
 
 
 def corpus() -> list[tuple[str, ProblemSpec, NumericMode]]:
@@ -66,7 +65,7 @@ def corpus() -> list[tuple[str, ProblemSpec, NumericMode]]:
         add(f"exact-{kind}", ProblemSpec(n, K, model), NumericMode.EXACT_RATIONAL)
     # Summed left to right in floats, 0.56 + 0.34 + 0.1 = 1.0000000000000002;
     # a compensated sum gives 1.0.
-    inexact = validate_model(3, (0.56, 0.34, 0.1), (0.1, 0.3, 0.6))
+    inexact = ResponseModel(3, (0.56, 0.34, 0.1), (0.1, 0.3, 0.6))
     add("inexact-sum", ProblemSpec(1000, 8, inexact), NumericMode.FLOAT64)
     add("table2", ProblemSpec(100, 10, symmetric_binary_model(0.9)), NumericMode.FLOAT64)
     exact_table2 = ProblemSpec(100, 10, symmetric_binary_model(Fraction(9, 10)))

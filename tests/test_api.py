@@ -45,9 +45,6 @@ def test_public_api():
         "relative_ranks",
         "run_strategy",
         "symmetric_binary_model",
-        "tables_to_csv",
-        "thresholds_to_json",
-        "validate_model",
         "verify_lemma1",
         "verify_lemma2",
     ]

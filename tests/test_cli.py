@@ -140,15 +140,22 @@ def test_table2_rational_matches_golden():
 
 
 def test_commands_are_byte_deterministic(tmp_path):
-    config = write_config(tmp_path, n=30, K=3, p="0.9")
+    # A second run gives the same stdout, and --out gets those same bytes.
+    config = str(write_config(tmp_path, n=30, K=3, p="0.9"))
+    out = tmp_path / "out"
     for args in (
+        ("solve", "--config", config),
         ("table2",),
         ("sweep", "--n", "30", "--k-range", "0:3", "--p-values", "0.6,0.9"),
-        ("simulate", "--config", str(config), "--trials", "2000", "--seed", "5"),
+        ("simulate", "--config", config, "--trials", "2000", "--seed", "5"),
+        ("verify", "--max-n", "3", "--models", "1"),
     ):
         first, second = run_cli(*args), run_cli(*args)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
+        assert first.returncode == second.returncode == 0, args
+        assert first.stdout == second.stdout, args
+        to_file = run_cli(*args, "--out", str(out))
+        assert to_file.returncode == 0 and to_file.stdout == "", args
+        assert out.read_bytes() == first.stdout.encode(), args
 
 
 def test_sweep_uniform_row_is_flat():
@@ -333,8 +340,20 @@ def test_verify_budget_exceeded_exit_code():
 
 
 def test_usage_error_unknown_flag():
-    cp = run_cli("solve", "--nonsense")
-    assert cp.returncode == 1
+    for args in (("solve", "--nonsense"), ()):
+        cp = run_cli(*args)
+        assert cp.returncode == 1 and cp.stderr.startswith("error:"), args
+        assert "Traceback" not in cp.stderr and cp.stdout == "", args
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path):
+    config = write_config(tmp_path, n=10, K=1, p="0.9")
+    latin1 = config.read_text().replace('"0.9"', '"0.9\u00e9"', 1).encode("latin-1")
+    for raw in (b"\xff\xfe{", latin1):
+        config.write_bytes(raw)
+        cp = run_cli("solve", "--config", str(config))
+        assert cp.returncode == 1 and cp.stderr.startswith("error:"), raw
+        assert "Traceback" not in cp.stderr and cp.stdout == "", raw
 
 
 def test_oversized_solve_is_refused_before_allocating(tmp_path):

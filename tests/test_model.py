@@ -8,54 +8,54 @@ from secquery import (
     NumericMode,
     ProbabilityOutOfRange,
     ProblemSpec,
+    ResponseModel,
     SumNotOne,
     ValidationError,
     parse_config,
     symmetric_binary_model,
-    validate_model,
 )
 from secquery.model import MAX_LITERAL_EXPONENT, parse_prob
 
 
 def test_validate_infallible_model():
-    m = validate_model(2, (1, 0), (0, 1))
+    m = ResponseModel(2, (1, 0), (0, 1))
     assert m.p == (1, 0) and m.q == (0, 1) and m.exact
 
 
 def test_validate_uninformative_model():
-    m = validate_model(2, (0.5, 0.5), (0.5, 0.5))
+    m = ResponseModel(2, (0.5, 0.5), (0.5, 0.5))
     assert m.M == 2 and not m.exact
 
 
 def test_validate_rejects_bad_sum():
     with pytest.raises(SumNotOne) as exc:
-        validate_model(2, (0.7, 0.2), (0.2, 0.8))
+        ResponseModel(2, (0.7, 0.2), (0.2, 0.8))
     assert exc.value.which == "p"
     assert exc.value.deviation == pytest.approx(-0.1)
 
 
 def test_validate_rejects_exact_sum_off_by_epsilon():
     with pytest.raises(SumNotOne):
-        validate_model(2, (Fraction(1, 2), Fraction(499, 1000)), (Fraction(1, 2), Fraction(1, 2)))
+        ResponseModel(2, (Fraction(1, 2), Fraction(499, 1000)), (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_validate_rejects_out_of_range():
     with pytest.raises(ProbabilityOutOfRange):
-        validate_model(2, (1.2, -0.2), (0.5, 0.5))
+        ResponseModel(2, (1.2, -0.2), (0.5, 0.5))
 
 
 def test_validate_rejects_length_mismatch():
     with pytest.raises(LengthMismatch):
-        validate_model(3, (0.5, 0.5), (0.2, 0.3, 0.5))
+        ResponseModel(3, (0.5, 0.5), (0.2, 0.3, 0.5))
 
 
 def test_validate_rejects_empty_model():
     with pytest.raises(ValidationError, match="M must be >= 1, got 0"):
-        validate_model(0, (), ())
+        ResponseModel(0, (), ())
 
 
 def test_inert_levels_are_legal():
-    m = validate_model(3, (Fraction(1), 0, 0), (0, 0, Fraction(1)))
+    m = ResponseModel(3, (Fraction(1), 0, 0), (0, 0, Fraction(1)))
     assert m.p[1] == m.q[1] == 0
 
 
@@ -71,7 +71,7 @@ def test_symmetric_binary_model():
 @pytest.mark.parametrize("p", [0, Fraction(1, 3), 0.25, 0.9, 1])
 def test_symmetric_binary_model_always_validates(p):
     m = symmetric_binary_model(p)
-    assert validate_model(m.M, m.p, m.q) == m
+    assert ResponseModel(m.M, m.p, m.q) == m
 
 
 def test_symmetric_binary_model_range():

@@ -10,6 +10,7 @@ from secquery import (
     HorizonMismatch,
     NumericMode,
     ProblemSpec,
+    ResponseModel,
     classical_threshold,
     compute_tables,
     exact_success_probability,
@@ -17,7 +18,6 @@ from secquery import (
     extract_thresholds,
     random_exact_model,
     symmetric_binary_model,
-    validate_model,
     verify_lemma1,
     verify_lemma2,
 )
@@ -27,14 +27,14 @@ from secquery.solver import ThresholdSet
 
 RATIONAL = NumericMode.EXACT_RATIONAL
 
-INFALLIBLE = validate_model(2, (1, 0), (0, 1))
-UNIFORM = validate_model(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
-THREE = validate_model(
+INFALLIBLE = ResponseModel(2, (1, 0), (0, 1))
+UNIFORM = ResponseModel(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+THREE = ResponseModel(
     3,
     (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
     (Fraction(1, 8), Fraction(3, 8), Fraction(1, 2)),
 )
-TWO = validate_model(2, (Fraction(5, 7), Fraction(2, 7)), (Fraction(1, 6), Fraction(5, 6)))
+TWO = ResponseModel(2, (Fraction(5, 7), Fraction(2, 7)), (Fraction(1, 6), Fraction(5, 6)))
 FLOAT09 = symmetric_binary_model(0.9)  # float entries: exact denominators are powers of two
 
 

@@ -11,6 +11,7 @@ from secquery import (
     HorizonMismatch,
     NumericMode,
     ProblemSpec,
+    ResponseModel,
     SimConfig,
     ValidationError,
     compute_tables,
@@ -20,7 +21,6 @@ from secquery import (
     relative_ranks,
     run_strategy,
     symmetric_binary_model,
-    validate_model,
 )
 from secquery import sim
 from secquery.sim import BLOCK_TRIALS, _block_rng, _next_record
@@ -67,7 +67,7 @@ def test_sim_config_validation():
 
 def test_monte_carlo_horizon_mismatch():
     two = symmetric_binary_model(0.8)
-    three = validate_model(3, (0.5, 0.25, 0.25), (0.25, 0.25, 0.5))
+    three = ResponseModel(3, (0.5, 0.25, 0.25), (0.25, 0.25, 0.5))
     cfg = SimConfig(trials=10, seed=1)
     # (thresholds solved for, spec run under, field named in the error)
     cases = [
@@ -145,7 +145,7 @@ def test_monte_carlo_query_accounting():
 def test_monte_carlo_matches_exact_enumeration_asymmetric():
     # Cross-validates the vectorized walker against the exact branch-weighted
     # value on a lopsided 3-level model.
-    model = validate_model(
+    model = ResponseModel(
         3, (Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)), (Fraction(1, 10), Fraction(2, 5), Fraction(1, 2))
     )
     spec = ProblemSpec(6, 2, model)
@@ -159,7 +159,7 @@ def test_monte_carlo_matches_exact_enumeration_asymmetric():
 def test_monte_carlo_matches_permutation_reference():
     # The record-jump sampler against run_strategy on whole random permutations.
     # Here r_2 > r_1, so continuing after a query can jump past the drawn record.
-    model = validate_model(
+    model = ResponseModel(
         3, (Fraction(3, 5), Fraction(1, 4), Fraction(3, 20)), (Fraction(1, 10), Fraction(3, 10), Fraction(3, 5))
     )
     spec = ProblemSpec(30, 2, model)
@@ -197,7 +197,7 @@ def test_monte_carlo_classical_baseline_million():
 
 
 def test_monte_carlo_small_instance_vs_exact_million():
-    model = validate_model(
+    model = ResponseModel(
         2, (Fraction(4, 5), Fraction(1, 5)), (Fraction(1, 5), Fraction(4, 5))
     )
     spec = ProblemSpec(5, 1, model)

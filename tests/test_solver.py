@@ -8,6 +8,7 @@ from helpers import as_float_model, random_dyadic_model, random_instance
 from secquery import (
     NumericMode,
     ProblemSpec,
+    ResponseModel,
     ThresholdSet,
     ValidationError,
     classical_threshold,
@@ -17,10 +18,8 @@ from secquery import (
     pre_query_stop_thresholds,
     random_exact_model,
     symmetric_binary_model,
-    tables_to_csv,
-    thresholds_to_json,
-    validate_model,
 )
+from secquery.cli import tables_to_csv, thresholds_to_json
 from secquery.solver import _greater
 
 RATIONAL = NumericMode.EXACT_RATIONAL
@@ -112,7 +111,7 @@ def test_threshold_set_is_validated_on_construction():
 
 
 def test_solver_matches_enumeration_oracle():
-    model = validate_model(2, (Fraction(4, 5), Fraction(1, 5)), (Fraction(1, 5), Fraction(4, 5)))
+    model = ResponseModel(2, (Fraction(4, 5), Fraction(1, 5)), (Fraction(1, 5), Fraction(4, 5)))
     spec = ProblemSpec(5, 2, model)
     tables = compute_tables(spec, RATIONAL)
     ts = extract_thresholds(tables)
@@ -214,7 +213,7 @@ def test_budget_stationarity():
 
 def test_uniform_model_collapses_to_classical():
     base = classical_threshold(60)[1]
-    uniform = validate_model(3, (0.25, 0.25, 0.5), (0.25, 0.25, 0.5))
+    uniform = ResponseModel(3, (0.25, 0.25, 0.5), (0.25, 0.25, 0.5))
     for K in (0, 1, 4, 9):
         tables, _ = solve(60, K, uniform)
         assert tables.a(0, 0) == pytest.approx(base, abs=1e-12)
@@ -274,7 +273,7 @@ def test_smaller_budget_tables_are_tail_rows_of_larger(rng):
             else:  # rounded, non-dyadic entries
                 p = [rng.random() + 1e-3 for _ in range(M)]
                 q = [rng.random() + 1e-3 for _ in range(M)]
-                model = validate_model(M, [x / sum(p) for x in p], [x / sum(q) for x in q])
+                model = ResponseModel(M, [x / sum(p) for x in p], [x / sum(q) for x in q])
             big = compute_tables(ProblemSpec(n, hi, model), mode)
             for K in range(hi + 1):
                 tables = compute_tables(ProblemSpec(n, K, model), mode)

@@ -41,7 +41,9 @@ from .solver import (
     classical_threshold,
     compute_tables,
     extract_thresholds,
-    pre_query_stop_thresholds,
+    read_stages,
+    solve,
+    stages,
 )
 
 TABLE2_P_VALUES = ("0.50", "0.60", "0.70", "0.80", "0.90", "0.95", "0.98", "1.00")
@@ -110,9 +112,7 @@ def table2_csv(mode: NumericMode = NumericMode.FLOAT64) -> str:
     lines = [",".join(header)]
     for literal in TABLE2_P_VALUES:
         spec = ProblemSpec(TABLE2_N, K, symmetric_binary_model(parse_prob(literal, mode)))
-        tables = compute_tables(spec, mode)
-        ts = extract_thresholds(tables)
-        grid = pre_query_stop_thresholds(tables)
+        ts, grid = read_stages(spec, mode, stages(spec, mode))
         cells = (
             [literal, str(ts.r_f)]
             + [str(v) for v in ts.r]
@@ -125,11 +125,13 @@ def table2_csv(mode: NumericMode = NumericMode.FLOAT64) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = read_config(args.config, args.mode)
-    tables = compute_tables(spec, args.mode)
-    ts = extract_thresholds(tables)
     if args.tables:
+        tables = compute_tables(spec, args.mode)
+        ts = extract_thresholds(tables)
         with open(args.tables, "w") as out:
             tables_to_csv(tables, out)
+    else:
+        ts = solve(spec, args.mode)
     _emit(thresholds_to_json(ts), args.out)
     return 0
 
@@ -158,11 +160,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = [(parse_prob(literal, args.mode), literal) for literal in p_literals]
     lines = ["p,K,success"]
     for p, literal in sorted(points, key=lambda point: float(point[0])):
-        # Budget K's tables are the last K+1 rows of budget hi's, so one
-        # solve per model gives every K: its value is A[hi-K][0].
-        tables = compute_tables(ProblemSpec(args.n, hi, symmetric_binary_model(p)), args.mode)
+        # Budget K's stages are the last K+1 of budget hi's, so one solve per
+        # model gives every K: values[K] is A[hi-K][0], with K queries left.
+        spec = ProblemSpec(args.n, hi, symmetric_binary_model(p))
+        values = [a[0] for a, _ in stages(spec, args.mode)]
         for K in ks:
-            lines.append(f"{literal},{K},{_fmt(tables.a(hi - K, 0))}")
+            lines.append(f"{literal},{K},{_fmt(values[K])}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -170,8 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = read_config(args.config, args.mode)
     cfg = SimConfig(trials=args.trials, seed=args.seed, parallelism=args.parallelism)
-    tables = compute_tables(spec, args.mode)
-    ts = extract_thresholds(tables)
+    ts = solve(spec, args.mode)
     result = monte_carlo(spec, ts, cfg)
     solver_value = float(ts.success_probability)
     gap = (result.estimate - solver_value) / result.stderr if result.stderr > 0 else 0.0
@@ -240,25 +242,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for n in range(2, min(args.max_n, 6) + 1):
             for K in range(0, min(3, n) + 1):
                 spec = ProblemSpec(n, K, model)
-                tables = compute_tables(spec, mode)
-                value = exact_success_probability(spec, extract_thresholds(tables))
-                checks.append(_check(name, f"n={n} K={K} model#{i}", tables.a(0, 0), value))
+                ts = solve(spec, mode)
+                value = exact_success_probability(spec, ts)
+                checks.append(_check(name, f"n={n} K={K} model#{i}", ts.success_probability, value))
 
     name = "exhaustive-policy-search-matches-solver"
     for i, model in enumerate(m for m in suite if m.M == 2):
         for n in range(2, min(args.max_n, 4) + 1):
             for K in range(0, min(2, n) + 1):
                 spec = ProblemSpec(n, K, model)
-                tables = compute_tables(spec, mode)
+                value = solve(spec, mode).success_probability
                 best = exhaustive_optimal(spec)
-                checks.append(_check(name, f"n={n} K={K} model2#{i}", tables.a(0, 0), best))
+                checks.append(_check(name, f"n={n} K={K} model2#{i}", value, best))
 
     name = "uninformative-model-collapses-to-classical"
     uniform = symmetric_binary_model(Fraction(1, 2))
     n = min(args.max_n, 6)
     base = classical_threshold(n, mode)[1]
     for K in range(0, min(3, n) + 1):
-        value = compute_tables(ProblemSpec(n, K, uniform), mode).a(0, 0)
+        value = solve(ProblemSpec(n, K, uniform), mode).success_probability
         checks.append(_check(name, f"n={n} K={K}", base, value))
 
     passed = all(c["pass"] for c in checks)

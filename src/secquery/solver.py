@@ -8,36 +8,44 @@ spent, k, and the time t:
 * ``U[k][t]``  — value of placing the k-th query at a record time t
   (``U[K+1][t] = t/n`` is the no-query final-stop reward).
 
-The recursion runs k = K..0; building ``A[k]`` needs the already-built
+The query times are consecutive stopping times, so the recursion runs
+backward one stage at a time, k = K..0: building ``A[k]`` needs only
 ``U[k+1]``, and ``U[k]`` follows from ``A[k]``:
 
     A[k][t-1] = A[k][t]*(1 - 1/t) + max(U[k+1][t], A[k][t])*(1/t)
     U[k][t]   = sum_m max(p(m)*t/n, q(m)*A[k][t])
 
 Exact mode evaluates them as written.  The float path uses an algebraically
-identical slack form with ratchets (see ``compute_tables``) so that flat
-regions stay exact and every table ordering holds without tolerance.
+identical slack form with ratchets (see ``stages``) so that flat regions
+stay exact and every table ordering holds without tolerance.
 
 The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
-and after all queries stop at the first record time >= r_f.  The final stop
-is stage K+1 of the query rule: r_f is the least t with U[K+1][t] >= A[K][t].
+and after all queries stop at the first record time >= r_f.  Stage k alone
+fixes r_{k+1} and s_k (the final stop is stage K+1 of the query rule, so
+stage K fixes r_f), so ``solve`` reads them as ``stages`` yields each stage,
+in O(n) memory; only ``compute_tables`` (``solve --tables``) keeps all 2K+3
+rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import Number, NumericMode, ProblemSpec, ResponseModel, ValidationError
 
 Row = tuple[Number, ...]
+Stage = tuple[Row, Row]  # (A[k], U[k+1])
 
-# Largest solve compute_tables accepts, counted in table cells: A has K+1
-# rows and U has K+2 (the t/n row included), each of n+1 cells.  A float
-# solve of 7*10**6 cells (n = 10**6, K = 2, M = 4) peaks near 0.35 GB; past
-# the cap a solve is refused before allocating instead of running out of
-# memory.
+# Largest solve accepted, counted in table cells: A has K+1 rows and U has
+# K+2 (the t/n row included), each of n+1 cells.  Only compute_tables keeps
+# them all; ``stages`` holds a few rows at a time, so for a streamed solve
+# the cap bounds work, which grows with n*K, and not memory.  On a 2-vCPU VM
+# a float solve of 7*10**6 cells (n = 10**6, K = 2, M = 4) peaks near
+# 0.28 GB streamed and 0.31 GB kept.  Past the cap a solve is refused before
+# anything is allocated.
 MAX_TABLE_CELLS = 10_000_000
 
 # Largest exact-rational solve, counted as table cells times n.  Exact values
@@ -63,6 +71,10 @@ class ValueTables:
     def u(self, k: int, t: int) -> Number:
         """U for query index k in 1..K+1."""
         return self.U[k - 1][t]
+
+    def stages(self) -> Iterator[Stage]:
+        """(A[k], U[k+1]) for k = K..0, the stages in the order ``stages`` yields them."""
+        return zip(reversed(self.A), reversed(self.U))
 
 
 class HorizonMismatch(ValueError):
@@ -124,8 +136,13 @@ class ThresholdSet:
                 raise HorizonMismatch(f"thresholds for {name}={solved}, spec has {name}={given}")
 
 
-def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
-    """Fill the A and U tables by the double backward recursion.
+def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterator[Stage]:
+    """Solve stage by stage: yield (A[k], U[k+1]) for k = K..0 as each finishes.
+
+    Instances needing more than MAX_TABLE_CELLS cells, and exact solves above
+    MAX_RATIONAL_WORK, are refused with a ValidationError here, before the
+    first stage is computed.  The stages keep only the rows the next stage
+    reads; each row is yielded once, as a tuple.
 
     Exact mode evaluates the defining recursion of the module docstring
     as written (see ``_exact_rows``).  The float path rearranges it so every
@@ -134,10 +151,7 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
     stable extraction ties), the U step collapses to t/n * sum(p) where every
     max picks its p-arm, and each finished row is max-ratcheted against its
     neighbors (one more query spent; U >= A and U >= t/n).  All three are
-    float-only: on the true values they change nothing.  Instances needing
-    more than MAX_TABLE_CELLS cells, and exact solves above
-    MAX_RATIONAL_WORK, are refused with a ValidationError before anything is
-    allocated.
+    float-only: on the true values they change nothing.
     """
     n, K = spec.n, spec.K
     cells = (2 * K + 3) * (n + 1)
@@ -145,31 +159,30 @@ def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -
         raise ValidationError(
             f"n={n}, K={K} needs {cells} table cells, above MAX_TABLE_CELLS={MAX_TABLE_CELLS}"
         )
-    if mode is NumericMode.EXACT_RATIONAL:
-        if not spec.model.exact:
-            raise ValidationError(
-                "exact-rational solve requires exact model probabilities; "
-                "use ints, Fractions, or 'a/b' strings in the config"
-            )
-        work = cells * n
-        if work > MAX_RATIONAL_WORK:
-            raise ValidationError(
-                f"rational solve of n={n}, K={K} needs cells*n = {work}, above "
-                f"MAX_RATIONAL_WORK={MAX_RATIONAL_WORK}; solve it in float mode"
-            )
-        A, U = _exact_rows(spec)
-    else:
-        A, U = _float_rows(spec)
-    return ValueTables(
-        A=tuple(tuple(r) for r in A),
-        U=tuple(tuple(r) for r in U[1:]),
-        spec=spec,
-        mode=mode,
-    )
+    if mode is not NumericMode.EXACT_RATIONAL:
+        return _float_rows(spec)
+    if not spec.model.exact:
+        raise ValidationError(
+            "exact-rational solve requires exact model probabilities; "
+            "use ints, Fractions, or 'a/b' strings in the config"
+        )
+    work = cells * n
+    if work > MAX_RATIONAL_WORK:
+        raise ValidationError(
+            f"rational solve of n={n}, K={K} needs cells*n = {work}, above "
+            f"MAX_RATIONAL_WORK={MAX_RATIONAL_WORK}; solve it in float mode"
+        )
+    return _exact_rows(spec)
 
 
-def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """A[0..K] and U[0..K+1] rows (U[0] unused) in exact rationals.
+def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
+    """Every stage of ``stages``, kept: the tables ``solve --tables`` writes."""
+    A, U = zip(*reversed(list(stages(spec, mode))))
+    return ValueTables(A=A, U=U, spec=spec, mode=mode)
+
+
+def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
+    """The stages in exact rationals.
 
     The A step is A[t-1] = (A[t]*(t-1) + U[t]) / t where U[t] > A[t], and
     A[t] otherwise; the test is decided by correctly rounded floats of both
@@ -180,11 +193,9 @@ def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Frac
     n, K = spec.n, spec.K
     D, P, Q = spec.model.integer_weights()
     zero = Fraction(0)
-    A = [[zero] * (n + 1) for _ in range(K + 1)]
-    U = [[zero] * (n + 1) for _ in range(K + 1)]
-    U.append([Fraction(t, n) for t in range(n + 1)])  # U[K+1][t] = t/n, the no-query reward
+    up = tuple(Fraction(t, n) for t in range(n + 1))  # U[K+1][t] = t/n, the no-query reward
     for k in range(K, -1, -1):
-        row, up = A[k], U[k + 1]
+        row = [zero] * (n + 1)
         a = row[n]
         a_float = float(a)
         for t in range(n, 1, -1):
@@ -194,18 +205,19 @@ def _exact_rows(spec: ProblemSpec) -> tuple[list[list[Fraction]], list[list[Frac
                 a_float = float(a)
             row[t - 1] = a
         row[0] = max(up[1], row[1])
+        row = tuple(row)
+        yield row, up
         if k >= 1:
-            uk = U[k]
-            for t in range(n + 1):
-                a = row[t]
+            up = []
+            for t, a in enumerate(row):
                 sum_p = sum_q = 0
                 for Pm, Qm in zip(P, Q):
                     if _p_arm_wins(Pm, Qm, n, t, a):
                         sum_p += Pm
                     else:
                         sum_q += Qm
-                uk[t] = Fraction(t * sum_p, n * D) + a * Fraction(sum_q, D)
-    return A, U
+                up.append(Fraction(t * sum_p, n * D) + a * Fraction(sum_q, D))
+            up = tuple(up)
 
 
 def _greater(x: Fraction, x_float: float, y: Fraction, y_float: float) -> bool:
@@ -219,8 +231,8 @@ def _greater(x: Fraction, x_float: float, y: Fraction, y_float: float) -> bool:
     return x > y
 
 
-def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]]:
-    """A[0..K] and U[0..K+1] rows (U[0] unused) in IEEE doubles.
+def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
+    """The stages in IEEE doubles.
 
     The A step is a recurrence in t and runs cell by cell.  The U step has
     none and runs arm by arm over whole rows, but every cell still goes
@@ -236,13 +248,10 @@ def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]
         sum_p += pm
         sum_q += qm
 
-    A = [[0.0] * (n + 1) for _ in range(K + 1)]
-    U: list[list[float]] = [[] for _ in range(K + 1)]  # U[1..K] are built below
-    ratio = [t / n for t in range(n + 1)]
-    U.append(ratio)  # U[K+1][t] = t/n, the no-query reward; never rewritten
+    ratio = tuple(t / n for t in range(n + 1))
+    up = ratio  # U[K+1][t] = t/n, the no-query reward
     for k in range(K, -1, -1):
-        row = A[k]
-        up = U[k + 1]
+        row = [0.0] * (n + 1)
         a = row[n]
         for t in range(n, 1, -1):
             # Slack form of the t-step: exact (no drift) wherever U <= A, so
@@ -256,7 +265,9 @@ def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]
             # A[k] >= A[k+1] (one more query spent) is a theorem, so this is a
             # no-op on the true values; in float it pins the stage ordering
             # where the true gap is below one ulp.
-            A[k] = row = [b if b > a else a for a, b in zip(row, A[k + 1])]
+            row = [b if b > a else a for a, b in zip(row, after)]
+        after = row = tuple(row)
+        yield row, up
         if k >= 1:
             # Per cell: extra = sum of the positive d(m) = p(m)*t/n - q(m)*A
             # in m order, and won = every d(m) > 0.
@@ -274,10 +285,10 @@ def _float_rows(spec: ProblemSpec) -> tuple[list[list[float]], list[list[float]]
             ]
             # U >= A and U >= U[next stage] are theorems; same ratchet.
             cand = [a if a > c else c for c, a in zip(cand, row)]
-            uk = [u if u > c else c for c, u in zip(cand, up)]
-            uk[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
-            U[k] = uk
-    return A, U
+            up = [u if u > c else c for c, u in zip(cand, up)]
+            up[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
+            up = tuple(up)
+            del d, extra, won, cand  # not to be held through the next stage
 
 
 def _p_arm_wins(Pm: int, Qm: int, n: int, t: int, a: Fraction) -> bool:
@@ -292,16 +303,28 @@ def _first_time(n: int, pred) -> int:
     raise AssertionError("threshold inequality must hold at t=n")
 
 
-def _stop_thresholds(tables: ValueTables, lag: int) -> tuple[tuple[int, ...], ...]:
-    """Least t with p(m)*t/n >= q(m)*A[k-lag][t], for each query k and level m.
+def read_stages(
+    spec: ProblemSpec, mode: NumericMode, rows: Iterable[Stage]
+) -> tuple[ThresholdSet, tuple[tuple[int, ...], ...]]:
+    """The thresholds, read from the stages (A[k], U[k+1]) for k = K..0 as they come.
 
-    Exact tables compare integers (``_p_arm_wins``), the rule the U step
-    used.  Float tables read t/n from the no-query row U[K+1], so they too
-    compare exactly the values the recursion used.
+    Stage k gives the gate r_{k+1} (r_f at k = K), the least t with
+    U[k+1][t] >= A[k][t], and one stop row: for each level m the least t
+    with p(m)*t/n >= q(m)*A[k][t].  That row is s_k of the ThresholdSet,
+    the executable rule, which compares against the value once the k-th
+    query is charged.  It is also s_{k+1} of the pre-query rows returned
+    second, the convention of the published reference grid that `table2`
+    reproduces.  On that grid's symmetric models the two agree at every
+    reachable time (t >= r_k); on asymmetric models they can differ there,
+    and then the pre-query rows lose value (see README).
+
+    Exact rows compare integers (``_p_arm_wins``), the rule the U step used.
+    Float rows read t/n from the no-query row U[K+1], the first stage's U,
+    so they too compare exactly the values the recursion used.  Existence
+    at t=n is guaranteed: U is 1 or p(m) there while A[.][n] = 0.
     """
-    spec = tables.spec
     n = spec.n
-    if tables.mode is NumericMode.EXACT_RATIONAL:
+    if mode is NumericMode.EXACT_RATIONAL:
         _, p, q = spec.model.integer_weights()
 
         def stop(pm, qm, a):
@@ -309,52 +332,34 @@ def _stop_thresholds(tables: ValueTables, lag: int) -> tuple[tuple[int, ...], ..
 
     else:
         p, q = spec.model.float_weights()
-        ratio = tables.U[spec.K]
 
         def stop(pm, qm, a):
             return lambda t: pm * ratio[t] >= qm * a[t]
 
-    return tuple(
-        tuple(_first_time(n, stop(pm, qm, a)) for pm, qm in zip(p, q))
-        for a in tables.A[1 - lag : spec.K + 1 - lag]
-    )
+    gates, stops = [], []
+    for a, u in rows:
+        if not gates:  # the first stage's U is U[K+1][t] = t/n
+            ratio = u
+        gates.append(_first_time(n, lambda t: u[t] >= a[t]))
+        stops.append(tuple(_first_time(n, stop(pm, qm, a)) for pm, qm in zip(p, q)))
+    r_f, *r = gates
+    ts = ThresholdSet(n, spec.model.M, r_f, tuple(reversed(r)), tuple(reversed(stops[:-1])), a[0])
+    return ts, tuple(reversed(stops[1:]))
+
+
+def solve(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ThresholdSet:
+    """The thresholds of spec, read stage by stage; no table is kept."""
+    return read_stages(spec, mode, stages(spec, mode))[0]
 
 
 def extract_thresholds(tables: ValueTables) -> ThresholdSet:
-    """Extract all thresholds as least times satisfying their >= inequalities.
-
-    Stage index is the number of queries spent: the k-th query compares
-    U[k] against A[k-1], and its stop rule on response m compares
-    p(m)*t/n >= q(m)*A[k][t] (the continuation value once the query is
-    charged).  The final stop is stage K+1 of the query rule, with
-    U[K+1][t] = t/n.  Existence at t=n is guaranteed: U is 1 or p(m) there
-    while A[.][n] = 0.
-    """
-    spec = tables.spec
-    # U[k] pairs with A[k-1] for k = 1..K+1; the last pair gives r_f.
-    *r, r_f = (
-        _first_time(spec.n, lambda t, u=u, a=a: u[t] >= a[t])
-        for u, a in zip(tables.U, tables.A)
-    )
-    return ThresholdSet(
-        n=spec.n,
-        M=spec.model.M,
-        r_f=r_f,
-        r=tuple(r),
-        s=_stop_thresholds(tables, 0),
-        success_probability=tables.A[0][0],
-    )
+    """The thresholds of stored tables, read as ``read_stages`` reads a solve."""
+    return read_stages(tables.spec, tables.mode, tables.stages())[0]
 
 
 def pre_query_stop_thresholds(tables: ValueTables) -> tuple[tuple[int, ...], ...]:
-    """Stop thresholds measured against the pre-query value row A[k-1].
-
-    This is the convention of the published reference grid that `table2`
-    reproduces.  It agrees with ThresholdSet.s at every reachable time
-    (t >= r_k); below r_k it can differ, and on asymmetric models the
-    executable rule in ThresholdSet.s is the one that stays optimal.
-    """
-    return _stop_thresholds(tables, 1)
+    """Stop rows of stored tables against the pre-query row A[k-1] (``read_stages``)."""
+    return read_stages(tables.spec, tables.mode, tables.stages())[1]
 
 
 _UNINFORMATIVE = ResponseModel(1, (1,), (1,))
@@ -362,6 +367,5 @@ _UNINFORMATIVE = ResponseModel(1, (1,), (1,))
 
 def classical_threshold(n: int, mode: NumericMode = NumericMode.FLOAT64) -> tuple[int, Number]:
     """Final-stop threshold and success probability with no queries at all."""
-    tables = compute_tables(ProblemSpec(n=n, K=0, model=_UNINFORMATIVE), mode)
-    ts = extract_thresholds(tables)
+    ts = solve(ProblemSpec(n=n, K=0, model=_UNINFORMATIVE), mode)
     return ts.r_f, ts.success_probability

@@ -14,6 +14,7 @@ from secquery import (
     classical_threshold,
     compute_tables,
     exact_success_probability,
+    exhaustive_optimal,
     extract_thresholds,
     pre_query_stop_thresholds,
     random_exact_model,
@@ -382,3 +383,24 @@ def test_rational_work_cap_is_exact(monkeypatch):
     with pytest.raises(ValidationError, match="MAX_RATIONAL_WORK"):
         compute_tables(ProblemSpec(10, 2, model), RATIONAL)
     assert compute_tables(ProblemSpec(10, 2, model), FLOAT).spec.n == 10
+
+
+def test_pre_query_stop_rows_lose_value_at_a_reachable_time():
+    # README's note on table2: on an asymmetric model the grid's pre-query
+    # stop rows can differ from ThresholdSet.s where a query can happen, and
+    # then playing them is strictly worse.
+    F = Fraction
+    model = ResponseModel(3, (F(0), F(2, 3), F(1, 3)), (F(3, 4), F(0), F(1, 4)))
+    spec = ProblemSpec(6, 2, model)
+    tables, ts = solve(6, 2, model, RATIONAL)
+    grid = pre_query_stop_thresholds(tables)
+    assert ts.r == (1, 2)
+    assert ts.s == ((6, 1, 3), (6, 1, 2))
+    assert grid == ((6, 1, 3), (6, 1, 3))
+    # The one difference: response 3 to query 2 at t = 2 = r_2, a reachable time.
+    assert ts.s[1][2] == ts.r[1] == 2
+    best = F(697, 960)
+    assert ts.success_probability == tables.a(0, 0) == exhaustive_optimal(spec) == best
+    played = exact_success_probability(spec, replace(ts, s=grid))
+    assert played == F(139, 192)
+    assert best - played == F(1, 480)

@@ -11,7 +11,9 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import TextIO
 
@@ -75,12 +77,23 @@ def _fmt(x: Number) -> str:
 def tables_to_csv(tables: ValueTables, out: TextIO) -> None:
     """Write a dense CSV dump row by row: header k,t,A,U; U blank at k=0, A at k=K+1."""
     K, n = tables.spec.K, tables.spec.n
+    kept = tables.kept
     out.write("k,t,A,U\n")
     for k in range(K + 2):
-        for t in range(n + 1):
-            a = _fmt(tables.a(k, t)) if k <= K else ""
-            u = _fmt(tables.u(k, t)) if k >= 1 else ""
-            out.write(f"{k},{t},{a},{u}\n")
+        a = _cells(kept[k].A, kept[k].den) if k <= K else repeat("")
+        u = _cells(kept[k - 1].U, kept[k - 1].den) if k >= 1 else repeat("")
+        for t, x, y in zip(range(n + 1), a, u):
+            out.write(f"{k},{t},{x},{y}\n")
+
+
+def _cells(row: tuple, den: int | None) -> Iterator[str]:
+    """A stage's row formatted cell by cell as ``_fmt`` formats its values.
+
+    An exact cell is printed as num / den: integer true division is correctly
+    rounded, as float(Fraction) is, so the fraction is never reduced.
+    """
+    den = den or 1  # float rows: x / 1 is x
+    return (_fmt(x / den) for x in row)
 
 
 def thresholds_to_json(ts: ThresholdSet) -> str:
@@ -163,7 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Budget K's stages are the last K+1 of budget hi's, so one solve per
         # model gives every K: values[K] is A[hi-K][0], with K queries left.
         spec = ProblemSpec(args.n, hi, symmetric_binary_model(p))
-        values = [a[0] for a, _ in stages(spec, args.mode)]
+        values = [stage.value(stage.A[0]) for stage in stages(spec, args.mode)]
         for K in ks:
             lines.append(f"{literal},{K},{_fmt(values[K])}")
     _emit("\n".join(lines) + "\n", args.out)

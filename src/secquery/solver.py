@@ -15,9 +15,10 @@ backward one stage at a time, k = K..0: building ``A[k]`` needs only
     A[k][t-1] = A[k][t]*(1 - 1/t) + max(U[k+1][t], A[k][t])*(1/t)
     U[k][t]   = sum_m max(p(m)*t/n, q(m)*A[k][t])
 
-Exact mode evaluates them as written.  The float path uses an algebraically
-identical slack form with ratchets (see ``stages``) so that flat regions
-stay exact and every table ordering holds without tolerance.
+Exact mode evaluates them as written, on integer numerators over one
+denominator per stage (see ``_exact_rows``).  The float path uses an
+algebraically identical slack form with ratchets (see ``stages``) so that
+flat regions stay exact and every table ordering holds without tolerance.
 
 The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
@@ -30,14 +31,39 @@ rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice
+from math import gcd, lcm
+from operator import ge
+from typing import NamedTuple
 
 from .model import Number, NumericMode, ProblemSpec, ResponseModel, ValidationError
 
 Row = tuple[Number, ...]
-Stage = tuple[Row, Row]  # (A[k], U[k+1])
+
+
+class Stage(NamedTuple):
+    """(A[k], U[k+1]) for one k.
+
+    Float rows hold the values and ``den`` is None.  Exact rows hold integer
+    numerators over the one denominator ``den`` that both rows share, so two
+    cells of a stage compare as integers.
+    """
+
+    A: Row
+    U: Row
+    den: int | None = None
+
+    def value(self, x: Number) -> Number:
+        """A cell of this stage as a number: the float, or the Fraction x/den."""
+        return x if self.den is None else Fraction(x, self.den)
+
+    def values(self, row: Row) -> Row:
+        return row if self.den is None else tuple(Fraction(x, self.den) for x in row)
+
 
 # Largest solve accepted, counted in table cells: A has K+1 rows and U has
 # K+2 (the t/n row included), each of n+1 cells.  Only compute_tables keeps
@@ -50,31 +76,47 @@ MAX_TABLE_CELLS = 10_000_000
 
 # Largest exact-rational solve, counted as table cells times n.  Exact values
 # carry denominators of thousands of bits, so the cost of a row grows faster
-# than n**2: on a 2-vCPU VM n = 1000, K = 10 (2.3e7) takes about 0.6 s,
-# n = 4000, K = 2 (1.1e8) 2 s and n = K = 390 (1.2e8) 7 s, while n = 20000,
-# K = 2 (2.8e9) would run for minutes.  Float solves are not bound by it.
+# than n**2: on a 2-vCPU VM n = 1000, K = 10 (2.3e7) takes about 0.2 s,
+# n = 4000, K = 2 (1.1e8) 0.8 s and n = K = 390 (1.2e8) 1.6 s.  Doubling n
+# costs about 6x (n = 8000, K = 2 takes 5 s), so n = 20000, K = 2 (2.8e9)
+# would run for about a minute.  Float solves are not bound by it.
 MAX_RATIONAL_WORK = 120_000_000
 
 
 @dataclass(frozen=True)
 class ValueTables:
-    """Solved A and U tables for one instance. Immutable and shareable."""
+    """Solved A and U tables for one instance. Immutable and shareable.
 
-    A: tuple[Row, ...]  # k = 0..K
-    U: tuple[Row, ...]  # index k-1 for k = 1..K+1
+    The tables are kept as the stages the solve yielded, so an exact table
+    builds a ``Fraction`` only for the cells that are read.
+    """
+
+    kept: tuple[Stage, ...]  # (A[k], U[k+1]) for k = 0..K
     spec: ProblemSpec
     mode: NumericMode
 
+    @property
+    def A(self) -> tuple[Row, ...]:
+        """A[k] for k = 0..K."""
+        return tuple(stage.values(stage.A) for stage in self.kept)
+
+    @property
+    def U(self) -> tuple[Row, ...]:
+        """U[k] at index k-1, for k = 1..K+1."""
+        return tuple(stage.values(stage.U) for stage in self.kept)
+
     def a(self, k: int, t: int) -> Number:
-        return self.A[k][t]
+        stage = self.kept[k]
+        return stage.value(stage.A[t])
 
     def u(self, k: int, t: int) -> Number:
         """U for query index k in 1..K+1."""
-        return self.U[k - 1][t]
+        stage = self.kept[k - 1]
+        return stage.value(stage.U[t])
 
     def stages(self) -> Iterator[Stage]:
-        """(A[k], U[k+1]) for k = K..0, the stages in the order ``stages`` yields them."""
-        return zip(reversed(self.A), reversed(self.U))
+        """The stages for k = K..0, in the order ``stages`` yields them."""
+        return reversed(self.kept)
 
 
 class HorizonMismatch(ValueError):
@@ -177,58 +219,83 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
 
 def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
     """Every stage of ``stages``, kept: the tables ``solve --tables`` writes."""
-    A, U = zip(*reversed(list(stages(spec, mode))))
-    return ValueTables(A=A, U=U, spec=spec, mode=mode)
+    return ValueTables(tuple(reversed(list(stages(spec, mode)))), spec, mode)
 
 
 def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
-    """The stages in exact rationals.
+    """The stages in exact rationals: integer numerators over one denominator per stage.
 
-    The A step is A[t-1] = (A[t]*(t-1) + U[t]) / t where U[t] > A[t], and
-    A[t] otherwise; the test is decided by correctly rounded floats of both
-    cells wherever they differ (``_greater``).  In the U step each max is
-    decided by an integer comparison (``_p_arm_wins``) and the arms it picks
-    are summed at once, t/n * sum(winning p) + A * sum(winning q).
+    A stage's two rows share the denominator ``den``, and A[k][t] = N[t]/den.
+    den carries L = lcm(1..n) on top of the denominator of U[k+1], so every
+    division by t in the A step is an exact integer division
+    (``_exact_a_row``).  The U step divides by nothing: with p(m) = P(m)/D
+    and q(m) = Q(m)/D over their least common denominator D,
+
+        U[k][t] = (sum(winning P) * t * den/n + sum(winning Q) * N[t]) / (den*D)
+
+    each max decided by the integer test P(m)*t*den/n >= Q(m)*N[t], the test
+    ``read_stages`` reads the stop thresholds with.  Once per stage, one gcd
+    of den*D and the U row takes out the row's common factor before L is
+    multiplied back in, so den stays near L times the row's least common
+    denominator instead of growing by L*D per stage.  No cell is a Fraction
+    until it is read.
     """
     n, K = spec.n, spec.K
     D, P, Q = spec.model.integer_weights()
-    zero = Fraction(0)
-    up = tuple(Fraction(t, n) for t in range(n + 1))  # U[K+1][t] = t/n, the no-query reward
+    L = lcm(*range(1, n + 1))
+    u, den = [t * L for t in range(n + 1)], n * L  # U[K+1][t] = t/n, the no-query reward
     for k in range(K, -1, -1):
-        row = [zero] * (n + 1)
-        a = row[n]
-        a_float = float(a)
-        for t in range(n, 1, -1):
-            u = up[t]
-            if _greater(u, float(u), a, a_float):
-                a = (a * (t - 1) + u) / t
-                a_float = float(a)
-            row[t - 1] = a
-        row[0] = max(up[1], row[1])
-        row = tuple(row)
-        yield row, up
+        a, den = _exact_a_row(u, den)
+        yield Stage(tuple(a), tuple(u), den)
         if k >= 1:
-            up = []
-            for t, a in enumerate(row):
-                sum_p = sum_q = 0
-                for Pm, Qm in zip(P, Q):
-                    if _p_arm_wins(Pm, Qm, n, t, a):
-                        sum_p += Pm
+            c = den // n  # t/n = t*c/den
+            arms = [(Pm, Pm * c, Qm) for Pm, Qm in zip(P, Q)]
+            for t, x in enumerate(a):  # U[k] over den*D, built in A[k]'s list
+                sp = sq = 0
+                for Pm, Pc, Qm in arms:
+                    if Pc * t >= Qm * x:  # p(m)*t/n >= q(m)*A[k][t]
+                        sp += Pm
                     else:
-                        sum_q += Qm
-                up.append(Fraction(t * sum_p, n * D) + a * Fraction(sum_q, D))
-            up = tuple(up)
+                        sq += Qm
+                a[t] = sp * t * c + sq * x
+            u, den = a, den * D
+            # Divide out the row's common factor g and scale by L in one
+            # step: x*L/g = x//(g/h) * (L/h) with h = gcd(g, L).  Mostly g
+            # divides L, and the step is one product by the short L/g.
+            g = gcd(den, *u)
+            h = gcd(g, L)
+            g, s = g // h, L // h
+            for t, x in enumerate(u):
+                u[t] = x // g * s
+            den = den // g * s
 
 
-def _greater(x: Fraction, x_float: float, y: Fraction, y_float: float) -> bool:
-    """x > y, given the correctly rounded floats of x and y.
+def _exact_a_row(u: list[int], den: int) -> tuple[list[int], int]:
+    """A[k] from U[k+1], both as integer numerators over den: (A[k], den).
 
-    Rounding is monotone, so floats that differ order x and y the same way;
-    only equal floats leave the answer to the exact comparison.
+    The A step is N[t-1] = ((t-1)*N[t] + U[t]) / t where U[t] > N[t], and
+    N[t] otherwise; the t = 1 step is a max.  When den lacks a factor of t
+    for an exact quotient, den is widened by the missing factor, and the
+    row built so far and u (in place) are rescaled to match.
     """
-    if x_float != y_float:
-        return x_float > y_float
-    return x > y
+    n = len(u) - 1
+    a = [0] * (n + 1)
+    x = 0
+    for t in range(n, 1, -1):
+        y = u[t]
+        if y > x:
+            x, r = divmod((t - 1) * x + y, t)
+            if r:
+                w = t // gcd(r, t)
+                x = x * w + r * w // t
+                den *= w
+                for i in range(t, n + 1):
+                    a[i] *= w
+                for i, v in enumerate(u):
+                    u[i] = v * w
+        a[t - 1] = x
+    a[0] = max(u[1], a[1])
+    return a, den
 
 
 def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
@@ -267,7 +334,7 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
             # where the true gap is below one ulp.
             row = [b if b > a else a for a, b in zip(row, after)]
         after = row = tuple(row)
-        yield row, up
+        yield Stage(row, up)
         if k >= 1:
             # Per cell: extra = sum of the positive d(m) = p(m)*t/n - q(m)*A
             # in m order, and won = every d(m) > 0.
@@ -291,16 +358,14 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
             del d, extra, won, cand  # not to be held through the next stage
 
 
-def _p_arm_wins(Pm: int, Qm: int, n: int, t: int, a: Fraction) -> bool:
-    """p(m)*t/n >= q(m)*a, compared in integers: P = p*D and Q = q*D."""
-    return Pm * t * a.denominator >= Qm * n * a.numerator
+def _first(hits: Iterable[bool]) -> int:
+    """The least t >= 1 whose test holds, given the tests for t = 1, 2, ..."""
+    return next(compress(count(1), hits))
 
 
-def _first_time(n: int, pred) -> int:
-    for t in range(1, n + 1):
-        if pred(t):
-            return t
-    raise AssertionError("threshold inequality must hold at t=n")
+def _least(n: int, holds: Callable[[int], bool]) -> int:
+    """The least t in 1..n where holds(t), for a test that never turns false again."""
+    return bisect_left(range(1, n + 1), True, key=holds) + 1
 
 
 def read_stages(
@@ -318,32 +383,42 @@ def read_stages(
     reachable time (t >= r_k); on asymmetric models they can differ there,
     and then the pre-query rows lose value (see README).
 
-    Exact rows compare integers (``_p_arm_wins``), the rule the U step used.
-    Float rows read t/n from the no-query row U[K+1], the first stage's U,
-    so they too compare exactly the values the recursion used.  Existence
-    at t=n is guaranteed: U is 1 or p(m) there while A[.][n] = 0.
+    Exact rows compare integer numerators over the stage's shared
+    denominator, the stop test as P(m)*t*den/n >= Q(m)*N[t], the test the
+    U step used; only A[0][0] becomes a Fraction.  Float rows read t/n from
+    the no-query row U[K+1], the first stage's U, so they too compare
+    exactly the values the recursion used.  Existence at t=n is guaranteed:
+    U is 1 or p(m) there while A[.][n] = 0.
+
+    The gate is scanned from t = 1.  A stop test is found by bisection: in
+    both modes A[k] never rises along t (exactly, or in float because the
+    slack A step only adds and the ratchet is a max of such rows) while
+    t/n never falls, so once a stop test holds it holds at every later t.
     """
     n = spec.n
     if mode is NumericMode.EXACT_RATIONAL:
         _, p, q = spec.model.integer_weights()
-
-        def stop(pm, qm, a):
-            return lambda t: _p_arm_wins(pm, qm, n, t, a[t])
-
     else:
         p, q = spec.model.float_weights()
-
-        def stop(pm, qm, a):
-            return lambda t: pm * ratio[t] >= qm * a[t]
-
     gates, stops = [], []
-    for a, u in rows:
-        if not gates:  # the first stage's U is U[K+1][t] = t/n
-            ratio = u
-        gates.append(_first_time(n, lambda t: u[t] >= a[t]))
-        stops.append(tuple(_first_time(n, stop(pm, qm, a)) for pm, qm in zip(p, q)))
+    for stage in rows:
+        a, u, den = stage
+        if den is not None:  # p(m)*t/n over den: P(m)*(den/n)*t
+            p_arms = [(pm * (den // n)).__mul__ for pm in p]
+        else:
+            if not gates:  # the first stage's U is U[K+1][t] = t/n
+                ratio = u
+            p_arms = [lambda t, pm=pm: pm * ratio[t] for pm in p]
+        gates.append(_first(map(ge, islice(u, 1, None), islice(a, 1, None))))
+        stops.append(
+            tuple(
+                _least(n, lambda t: arm(t) >= qm * a[t])
+                for arm, qm in zip(p_arms, q)
+            )
+        )
     r_f, *r = gates
-    ts = ThresholdSet(n, spec.model.M, r_f, tuple(reversed(r)), tuple(reversed(stops[:-1])), a[0])
+    success = stage.value(a[0])
+    ts = ThresholdSet(n, spec.model.M, r_f, tuple(reversed(r)), tuple(reversed(stops[:-1])), success)
     return ts, tuple(reversed(stops[1:]))
 
 

@@ -21,7 +21,7 @@ from secquery import (
     symmetric_binary_model,
 )
 from secquery.cli import tables_to_csv, thresholds_to_json
-from secquery.solver import _greater
+from secquery.solver import Stage, _exact_a_row, read_stages
 
 RATIONAL = NumericMode.EXACT_RATIONAL
 FLOAT = NumericMode.FLOAT64
@@ -330,15 +330,46 @@ def test_exact_tables_are_the_literal_recursion(rng):
         check_table_orderings(tables, spec)
 
 
-def test_exact_compare_decides_float_ties_exactly():
-    # Random instances never reach this branch: their float ties are exact ties.
-    a = Fraction(1, 3)
-    b = a + Fraction(1, 2**100)
-    assert float(a) == float(b)
-    assert _greater(b, float(b), a, float(a))
-    assert not _greater(a, float(a), b, float(b))
-    assert not _greater(a, float(a), Fraction(1, 3), float(a))
-    assert _greater(Fraction(1, 2), 0.5, a, float(a))
+def test_exact_gate_decides_float_ties_exactly():
+    # U[1] and A[1] differ by 2**-100, below one ulp, so their floats tie;
+    # the gate compares integer numerators and reads the sign exactly.
+    n, tiny = 3, Fraction(1, 2**100)
+    spec = ProblemSpec(n, 0, ResponseModel(1, (1,), (1,)))
+    den = n * 2**100
+    U = tuple(Fraction(t, n) for t in range(n + 1))
+    for sign, gate in ((1, 2), (-1, 1)):
+        a1 = U[1] + sign * tiny
+        assert float(a1) == float(U[1])
+        A = (max(U[1], a1), a1, a1, Fraction(0))
+        stage = Stage(*(tuple(int(x * den) for x in row) for row in (A, U)), den)
+        ts, _ = read_stages(spec, RATIONAL, [stage])
+        assert ts.r_f == gate
+        assert ts.success_probability == A[0]
+
+
+def _fraction_a_row(U):
+    """A[k] from U[k+1] by the module docstring's A step, in Fractions."""
+    A = [Fraction(0)] * len(U)
+    for t in range(len(U) - 1, 0, -1):
+        step = Fraction(1, t)
+        A[t - 1] = A[t] * (1 - step) + max(U[t], A[t]) * step
+    return A
+
+
+def test_exact_a_row_widens_a_denominator_missing_a_factor_of_t(rng):
+    # Solves scale U by lcm(1..n) first, so every division is exact there;
+    # here den lacks factors of t, and the row must widen den to stay exact.
+    widened = 0
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        den = rng.randint(1, 6)
+        u = [rng.randint(0, 3 * den) for _ in range(n + 1)]
+        U = [Fraction(x, den) for x in u]
+        a, wide = _exact_a_row(u, den)
+        assert [Fraction(x, wide) for x in a] == _fraction_a_row(U)
+        assert [Fraction(x, wide) for x in u] == U  # u rescaled in place
+        widened += wide != den
+    assert widened > 20
 
 
 def _misreads_are_ties(n, got, want, margin, tol):

@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -80,20 +79,10 @@ def tables_to_csv(tables: ValueTables, out: TextIO) -> None:
     kept = tables.kept
     out.write("k,t,A,U\n")
     for k in range(K + 2):
-        a = _cells(kept[k].A, kept[k].den) if k <= K else repeat("")
-        u = _cells(kept[k - 1].U, kept[k - 1].den) if k >= 1 else repeat("")
+        a = map(_fmt, kept[k].floats(kept[k].A)) if k <= K else repeat("")
+        u = map(_fmt, kept[k - 1].floats(kept[k - 1].U)) if k >= 1 else repeat("")
         for t, x, y in zip(range(n + 1), a, u):
             out.write(f"{k},{t},{x},{y}\n")
-
-
-def _cells(row: tuple, den: int | None) -> Iterator[str]:
-    """A stage's row formatted cell by cell as ``_fmt`` formats its values.
-
-    An exact cell is printed as num / den: integer true division is correctly
-    rounded, as float(Fraction) is, so the fraction is never reduced.
-    """
-    den = den or 1  # float rows: x / 1 is x
-    return (_fmt(x / den) for x in row)
 
 
 def thresholds_to_json(ts: ThresholdSet) -> str:

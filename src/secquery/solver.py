@@ -61,8 +61,13 @@ class Stage(NamedTuple):
         """A cell of this stage as a number: the float, or the Fraction x/den."""
         return x if self.den is None else Fraction(x, self.den)
 
-    def values(self, row: Row) -> Row:
-        return row if self.den is None else tuple(Fraction(x, self.den) for x in row)
+    def floats(self, row: Row) -> Iterator[float]:
+        """A row's cells as floats, each rounded as float(value) rounds it.
+
+        An exact cell is x / den: integer true division is correctly
+        rounded, so no Fraction is built and none is reduced.
+        """
+        return iter(row) if self.den is None else (x / self.den for x in row)
 
 
 # Largest solve accepted, counted in table cells: A has K+1 rows and U has
@@ -98,12 +103,12 @@ class ValueTables:
     @property
     def A(self) -> tuple[Row, ...]:
         """A[k] for k = 0..K."""
-        return tuple(stage.values(stage.A) for stage in self.kept)
+        return tuple(tuple(map(stage.value, stage.A)) for stage in self.kept)
 
     @property
     def U(self) -> tuple[Row, ...]:
         """U[k] at index k-1, for k = 1..K+1."""
-        return tuple(stage.values(stage.U) for stage in self.kept)
+        return tuple(tuple(map(stage.value, stage.U)) for stage in self.kept)
 
     def a(self, k: int, t: int) -> Number:
         stage = self.kept[k]
@@ -179,7 +184,7 @@ class ThresholdSet:
 
 
 def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterator[Stage]:
-    """Solve stage by stage: yield (A[k], U[k+1]) for k = K..0 as each finishes.
+    """Solve stage by stage: yield the Stage (A[k], U[k+1]) for k = K..0 as each finishes.
 
     Instances needing more than MAX_TABLE_CELLS cells, and exact solves above
     MAX_RATIONAL_WORK, are refused with a ValidationError here, before the
@@ -396,29 +401,22 @@ def read_stages(
     t/n never falls, so once a stop test holds it holds at every later t.
     """
     n = spec.n
-    if mode is NumericMode.EXACT_RATIONAL:
-        _, p, q = spec.model.integer_weights()
-    else:
-        p, q = spec.model.float_weights()
+    exact = mode is NumericMode.EXACT_RATIONAL
+    p, q = spec.model.integer_weights()[1:] if exact else spec.model.float_weights()
     gates, stops = [], []
     for stage in rows:
         a, u, den = stage
-        if den is not None:  # p(m)*t/n over den: P(m)*(den/n)*t
+        if exact:  # p(m)*t/n over den is P(m)*(den/n)*t
             p_arms = [(pm * (den // n)).__mul__ for pm in p]
         else:
             if not gates:  # the first stage's U is U[K+1][t] = t/n
                 ratio = u
             p_arms = [lambda t, pm=pm: pm * ratio[t] for pm in p]
         gates.append(_first(map(ge, islice(u, 1, None), islice(a, 1, None))))
-        stops.append(
-            tuple(
-                _least(n, lambda t: arm(t) >= qm * a[t])
-                for arm, qm in zip(p_arms, q)
-            )
-        )
+        stops.append(tuple(_least(n, lambda t: arm(t) >= qm * a[t]) for arm, qm in zip(p_arms, q)))
     r_f, *r = gates
-    success = stage.value(a[0])
-    ts = ThresholdSet(n, spec.model.M, r_f, tuple(reversed(r)), tuple(reversed(stops[:-1])), success)
+    s = tuple(reversed(stops[:-1]))
+    ts = ThresholdSet(n, spec.model.M, r_f, tuple(reversed(r)), s, stage.value(a[0]))
     return ts, tuple(reversed(stops[1:]))
 
 

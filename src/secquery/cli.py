@@ -114,7 +114,7 @@ def table2_csv(mode: NumericMode = NumericMode.FLOAT64) -> str:
     lines = [",".join(header)]
     for literal in TABLE2_P_VALUES:
         spec = ProblemSpec(TABLE2_N, K, symmetric_binary_model(parse_prob(literal, mode)))
-        ts, grid = read_stages(spec, mode, stages(spec, mode))
+        ts, grid = read_stages(spec, stages(spec, mode))
         cells = (
             [literal, str(ts.r_f)]
             + [str(v) for v in ts.r]

@@ -177,7 +177,7 @@ def parse_config(text: str | bytes, mode: NumericMode = NumericMode.FLOAT64) -> 
     """
     try:
         raw = json.loads(text, parse_float=str)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, long integer, deep nesting
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")

@@ -15,10 +15,11 @@ backward one stage at a time, k = K..0: building ``A[k]`` needs only
     A[k][t-1] = A[k][t]*(1 - 1/t) + max(U[k+1][t], A[k][t])*(1/t)
     U[k][t]   = sum_m max(p(m)*t/n, q(m)*A[k][t])
 
-Exact mode evaluates them as written, on integer numerators over one
-denominator per stage (see ``_exact_rows``).  The float path uses an
-algebraically identical slack form with ratchets (see ``stages``) so that
-flat regions stay exact and every table ordering holds without tolerance.
+Each ``Stage`` says which arithmetic it holds.  Exact stages evaluate the
+recursion as written, on integer numerators over one denominator
+(``_exact_rows``); float stages use an algebraically identical slack form
+with ratchets (``stages``), so flat regions stay exact and every table
+ordering holds without tolerance.
 
 The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
@@ -35,6 +36,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, count, islice
 from math import gcd, lcm
 from operator import ge
@@ -92,22 +94,21 @@ MAX_RATIONAL_WORK = 120_000_000
 class ValueTables:
     """Solved A and U tables for one instance. Immutable and shareable.
 
-    The tables are kept as the stages the solve yielded, so an exact table
-    builds a ``Fraction`` only for the cells that are read.
+    The tables are kept as the stages the solve yielded: ``a`` and ``u``
+    build one cell, ``A`` and ``U`` every cell on the first read.
     """
 
     kept: tuple[Stage, ...]  # (A[k], U[k+1]) for k = 0..K
     spec: ProblemSpec
-    mode: NumericMode
 
-    @property
+    @cached_property
     def A(self) -> tuple[Row, ...]:
-        """A[k] for k = 0..K."""
+        """A[k] for k = 0..K; the first read builds every cell."""
         return tuple(tuple(map(stage.value, stage.A)) for stage in self.kept)
 
-    @property
+    @cached_property
     def U(self) -> tuple[Row, ...]:
-        """U[k] at index k-1, for k = 1..K+1."""
+        """U[k] at index k-1, for k = 1..K+1; the first read builds every cell."""
         return tuple(tuple(map(stage.value, stage.U)) for stage in self.kept)
 
     def a(self, k: int, t: int) -> Number:
@@ -118,10 +119,6 @@ class ValueTables:
         """U for query index k in 1..K+1."""
         stage = self.kept[k - 1]
         return stage.value(stage.U[t])
-
-    def stages(self) -> Iterator[Stage]:
-        """The stages for k = K..0, in the order ``stages`` yields them."""
-        return reversed(self.kept)
 
 
 class HorizonMismatch(ValueError):
@@ -224,7 +221,7 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
 
 def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
     """Every stage of ``stages``, kept: the tables ``solve --tables`` writes."""
-    return ValueTables(tuple(reversed(list(stages(spec, mode)))), spec, mode)
+    return ValueTables(tuple(reversed(list(stages(spec, mode)))), spec)
 
 
 def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
@@ -232,8 +229,8 @@ def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
 
     A stage's two rows share the denominator ``den``, and A[k][t] = N[t]/den.
     den carries L = lcm(1..n) on top of the denominator of U[k+1], so every
-    division by t in the A step is an exact integer division
-    (``_exact_a_row``).  The U step divides by nothing: with p(m) = P(m)/D
+    division by t in the A step is an exact integer division (the argument
+    is in ``_exact_a_row``).  The U step divides by nothing: with p(m) = P(m)/D
     and q(m) = Q(m)/D over their least common denominator D,
 
         U[k][t] = (sum(winning P) * t * den/n + sum(winning Q) * N[t]) / (den*D)
@@ -250,7 +247,7 @@ def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
     L = lcm(*range(1, n + 1))
     u, den = [t * L for t in range(n + 1)], n * L  # U[K+1][t] = t/n, the no-query reward
     for k in range(K, -1, -1):
-        a, den = _exact_a_row(u, den)
+        a = _exact_a_row(u)
         yield Stage(tuple(a), tuple(u), den)
         if k >= 1:
             c = den // n  # t/n = t*c/den
@@ -275,13 +272,17 @@ def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
             den = den // g * s
 
 
-def _exact_a_row(u: list[int], den: int) -> tuple[list[int], int]:
-    """A[k] from U[k+1], both as integer numerators over den: (A[k], den).
+def _exact_a_row(u: list[int]) -> list[int]:
+    """A[k] from U[k+1], both as integer numerators over the stage's den.
 
     The A step is N[t-1] = ((t-1)*N[t] + U[t]) / t where U[t] > N[t], and
-    N[t] otherwise; the t = 1 step is a max.  When den lacks a factor of t
-    for an exact quotient, den is widened by the missing factor, and the
-    row built so far and u (in place) are rescaled to match.
+    N[t] otherwise; the t = 1 step is a max.  Each U[t] is a multiple of
+    L = lcm(1..n) (``_exact_rows``), so of t(t-1), and the division by t is
+    exact when N[t] is a multiple of t: N[n] = 0 is, a tie leaves N[t-1] =
+    U[t], and a gain at t makes t*N[t-1], so N[t-1], a multiple of t-1.  A
+    remainder needs gains at t and at some t' > t with U < A between them:
+    U - A changing sign twice along t, against the table orderings (A falls
+    and U rises along t) and the one gate r.  It is refused, not rounded.
     """
     n = len(u) - 1
     a = [0] * (n + 1)
@@ -291,16 +292,10 @@ def _exact_a_row(u: list[int], den: int) -> tuple[list[int], int]:
         if y > x:
             x, r = divmod((t - 1) * x + y, t)
             if r:
-                w = t // gcd(r, t)
-                x = x * w + r * w // t
-                den *= w
-                for i in range(t, n + 1):
-                    a[i] *= w
-                for i, v in enumerate(u):
-                    u[i] = v * w
+                raise ValidationError(f"A step remainder at t={t}: U - A changes sign twice")
         a[t - 1] = x
     a[0] = max(u[1], a[1])
-    return a, den
+    return a
 
 
 def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
@@ -374,7 +369,7 @@ def _least(n: int, holds: Callable[[int], bool]) -> int:
 
 
 def read_stages(
-    spec: ProblemSpec, mode: NumericMode, rows: Iterable[Stage]
+    spec: ProblemSpec, rows: Iterable[Stage]
 ) -> tuple[ThresholdSet, tuple[tuple[int, ...], ...]]:
     """The thresholds, read from the stages (A[k], U[k+1]) for k = K..0 as they come.
 
@@ -388,12 +383,12 @@ def read_stages(
     reachable time (t >= r_k); on asymmetric models they can differ there,
     and then the pre-query rows lose value (see README).
 
-    Exact rows compare integer numerators over the stage's shared
-    denominator, the stop test as P(m)*t*den/n >= Q(m)*N[t], the test the
-    U step used; only A[0][0] becomes a Fraction.  Float rows read t/n from
-    the no-query row U[K+1], the first stage's U, so they too compare
-    exactly the values the recursion used.  Existence at t=n is guaranteed:
-    U is 1 or p(m) there while A[.][n] = 0.
+    Each stage is read in its own arithmetic.  Exact rows compare integer
+    numerators over the stage's den, the stop test as P(m)*t*den/n >=
+    Q(m)*N[t], the test the U step used; only A[0][0] becomes a Fraction.
+    Float rows (den None) compute t/n as the no-query row U[K+1] does, so
+    they too compare the values the recursion used.  Existence at t=n is
+    guaranteed: U is 1 or p(m) there while A[.][n] = 0.
 
     The gate is scanned from t = 1.  A stop test is found by bisection: in
     both modes A[k] never rises along t (exactly, or in float because the
@@ -401,17 +396,15 @@ def read_stages(
     t/n never falls, so once a stop test holds it holds at every later t.
     """
     n = spec.n
-    exact = mode is NumericMode.EXACT_RATIONAL
-    p, q = spec.model.integer_weights()[1:] if exact else spec.model.float_weights()
     gates, stops = [], []
     for stage in rows:
         a, u, den = stage
-        if exact:  # p(m)*t/n over den is P(m)*(den/n)*t
+        if den is None:
+            p, q = spec.model.float_weights()
+            p_arms = [lambda t, pm=pm: pm * (t / n) for pm in p]
+        else:  # p(m)*t/n over den is P(m)*(den/n)*t
+            _, p, q = spec.model.integer_weights()
             p_arms = [(pm * (den // n)).__mul__ for pm in p]
-        else:
-            if not gates:  # the first stage's U is U[K+1][t] = t/n
-                ratio = u
-            p_arms = [lambda t, pm=pm: pm * ratio[t] for pm in p]
         gates.append(_first(map(ge, islice(u, 1, None), islice(a, 1, None))))
         stops.append(tuple(_least(n, lambda t: arm(t) >= qm * a[t]) for arm, qm in zip(p_arms, q)))
     r_f, *r = gates
@@ -422,17 +415,17 @@ def read_stages(
 
 def solve(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ThresholdSet:
     """The thresholds of spec, read stage by stage; no table is kept."""
-    return read_stages(spec, mode, stages(spec, mode))[0]
+    return read_stages(spec, stages(spec, mode))[0]
 
 
 def extract_thresholds(tables: ValueTables) -> ThresholdSet:
     """The thresholds of stored tables, read as ``read_stages`` reads a solve."""
-    return read_stages(tables.spec, tables.mode, tables.stages())[0]
+    return read_stages(tables.spec, reversed(tables.kept))[0]
 
 
 def pre_query_stop_thresholds(tables: ValueTables) -> tuple[tuple[int, ...], ...]:
     """Stop rows of stored tables against the pre-query row A[k-1] (``read_stages``)."""
-    return read_stages(tables.spec, tables.mode, tables.stages())[1]
+    return read_stages(tables.spec, reversed(tables.kept))[1]
 
 
 _UNINFORMATIVE = ResponseModel(1, (1,), (1,))

@@ -1,8 +1,26 @@
-"""Shared generators for randomized suites (exact models, dyadic floats)."""
+"""Shared test helpers: one solve with its kept tables, and generators for
+randomized suites (exact models, dyadic floats)."""
 
 import random
 
-from secquery import ProblemSpec, ResponseModel, random_exact_model
+from secquery import (
+    NumericMode,
+    ProblemSpec,
+    ResponseModel,
+    ThresholdSet,
+    ValueTables,
+    compute_tables,
+    extract_thresholds,
+    random_exact_model,
+)
+
+
+def solve(
+    n: int, K: int, model: ResponseModel, mode: NumericMode = NumericMode.FLOAT64
+) -> tuple[ValueTables, ThresholdSet]:
+    """The kept tables of one solve and the thresholds read from them."""
+    tables = compute_tables(ProblemSpec(n, K, model), mode)
+    return tables, extract_thresholds(tables)
 
 
 def random_dyadic_model(rng: random.Random, M: int, bits: int = 20) -> ResponseModel:

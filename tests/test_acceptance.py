@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import random_instance
+from helpers import random_instance, solve
 from test_solver import check_table_orderings
 
 from secquery import (
@@ -43,11 +43,6 @@ def criterion(name: str):
         print(f"\nACCEPTANCE FAIL: {name}")
         raise
     print(f"\nACCEPTANCE PASS: {name} ({time.time() - start:.1f}s)")
-
-
-def solve(n, K, model, mode=FLOAT):
-    tables = compute_tables(ProblemSpec(n, K, model), mode)
-    return tables, extract_thresholds(tables)
 
 
 def test_table2_reproduction_exact():

@@ -356,6 +356,16 @@ def test_config_that_is_not_utf8_exits_1(tmp_path):
         assert "Traceback" not in cp.stderr and cp.stdout == "", raw
 
 
+def test_deeply_nested_config_exits_1(tmp_path):
+    # json.loads gives up on deep nesting with a RecursionError, not a ValueError.
+    config = tmp_path / "config.json"
+    config.write_text("[" * 200_000)
+    for command in ("solve", "simulate"):
+        cp = run_cli(command, "--config", str(config))
+        assert cp.returncode == 1 and cp.stderr.startswith("error:"), command
+        assert "Traceback" not in cp.stderr and cp.stdout == "", command
+
+
 def test_oversized_solve_is_refused_before_allocating(tmp_path):
     # (2K+3)(n+1) cells of 10**8 x 2 would need several GB; the cap refuses
     # the instance well inside this 1 GiB address-space limit.

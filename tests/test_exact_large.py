@@ -36,7 +36,7 @@ INSTANCES = {
 
 
 def record(spec: ProblemSpec) -> dict:
-    ts, grid = read_stages(spec, RATIONAL, stages(spec, RATIONAL))
+    ts, grid = read_stages(spec, stages(spec, RATIONAL))
     return {
         "success_probability": repr(ts.success_probability),
         "r_f": ts.r_f,

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from helpers import solve
 
 from secquery import (
     BudgetExceeded,
@@ -38,19 +39,14 @@ TWO = ResponseModel(2, (Fraction(5, 7), Fraction(2, 7)), (Fraction(1, 6), Fracti
 FLOAT09 = symmetric_binary_model(0.9)  # float entries: exact denominators are powers of two
 
 
-def solved(n, K, model):
-    tables = compute_tables(ProblemSpec(n, K, model), RATIONAL)
-    return tables, extract_thresholds(tables)
-
-
 def test_exact_success_single_candidate():
     for K, model in ((0, UNIFORM), (1, INFALLIBLE)):
-        tables, ts = solved(1, K, model)
+        tables, ts = solve(1, K, model, RATIONAL)
         assert exact_success_probability(ProblemSpec(1, K, model), ts) == 1
 
 
 def test_exact_success_matches_classical_k0():
-    tables, ts = solved(4, 0, UNIFORM)
+    tables, ts = solve(4, 0, UNIFORM, RATIONAL)
     value = exact_success_probability(ProblemSpec(4, 0, UNIFORM), ts)
     assert value == classical_threshold(4, RATIONAL)[1] == tables.a(0, 0)
 
@@ -58,7 +54,7 @@ def test_exact_success_matches_classical_k0():
 def test_exact_success_symmetric_08():
     model = symmetric_binary_model(Fraction(4, 5))
     spec = ProblemSpec(5, 2, model)
-    tables, ts = solved(5, 2, model)
+    tables, ts = solve(5, 2, model, RATIONAL)
     assert exact_success_probability(spec, ts) == tables.a(0, 0)
 
 
@@ -73,7 +69,7 @@ def test_exact_success_horizon_mismatch():
         ((6, 1, THREE), (6, 1, nine), "M"),
     ]
     for solved_for, run_under, field in cases:
-        _, ts = solved(*solved_for)
+        _, ts = solve(*solved_for, RATIONAL)
         with pytest.raises(HorizonMismatch, match=f"{field}="):
             exact_success_probability(ProblemSpec(*run_under), ts)
 
@@ -93,7 +89,7 @@ def test_exhaustive_matches_classical_n3():
 
 def test_exhaustive_infallible_n4_k1():
     spec = ProblemSpec(4, 1, INFALLIBLE)
-    tables, _ = solved(4, 1, INFALLIBLE)
+    tables, _ = solve(4, 1, INFALLIBLE, RATIONAL)
     assert exhaustive_optimal(spec) == tables.a(0, 0)
 
 

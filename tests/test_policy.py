@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import random_dyadic_model
+from helpers import random_dyadic_model, solve
 
 from secquery import (
     GenieExhausted,
@@ -20,11 +20,6 @@ from secquery import (
     run_strategy,
     symmetric_binary_model,
 )
-
-
-def solve(n, K, model):
-    tables = compute_tables(ProblemSpec(n, K, model), NumericMode.FLOAT64)
-    return tables, extract_thresholds(tables)
 
 
 def test_relative_ranks_examples():

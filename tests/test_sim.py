@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import solve
 
 from secquery import (
     HorizonMismatch,
@@ -24,11 +25,6 @@ from secquery import (
 )
 from secquery import sim
 from secquery.sim import BLOCK_TRIALS, _block_rng, _next_record
-
-
-def solve(n, K, model, mode=NumericMode.FLOAT64):
-    tables = compute_tables(ProblemSpec(n, K, model), mode)
-    return tables, extract_thresholds(tables)
 
 
 def test_next_record_tail_law():

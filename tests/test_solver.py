@@ -1,9 +1,10 @@
 import io
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from helpers import as_float_model, random_dyadic_model, random_instance
+from helpers import as_float_model, random_dyadic_model, random_instance, solve
 
 from secquery import (
     NumericMode,
@@ -25,11 +26,6 @@ from secquery.solver import Stage, _exact_a_row, read_stages
 
 RATIONAL = NumericMode.EXACT_RATIONAL
 FLOAT = NumericMode.FLOAT64
-
-
-def solve(n, K, model, mode=FLOAT):
-    tables = compute_tables(ProblemSpec(n, K, model), mode)
-    return tables, extract_thresholds(tables)
 
 
 def test_single_candidate_is_certain():
@@ -330,6 +326,13 @@ def test_exact_tables_are_the_literal_recursion(rng):
         check_table_orderings(tables, spec)
 
 
+def test_full_tables_are_built_on_the_first_read_only():
+    model = symmetric_binary_model(Fraction(9, 10))
+    for mode in (RATIONAL, FLOAT):
+        tables, _ = solve(30, 3, model, mode)
+        assert tables.A is tables.A and tables.U is tables.U
+
+
 def test_exact_gate_decides_float_ties_exactly():
     # U[1] and A[1] differ by 2**-100, below one ulp, so their floats tie;
     # the gate compares integer numerators and reads the sign exactly.
@@ -342,7 +345,7 @@ def test_exact_gate_decides_float_ties_exactly():
         assert float(a1) == float(U[1])
         A = (max(U[1], a1), a1, a1, Fraction(0))
         stage = Stage(*(tuple(int(x * den) for x in row) for row in (A, U)), den)
-        ts, _ = read_stages(spec, RATIONAL, [stage])
+        ts, _ = read_stages(spec, [stage])
         assert ts.r_f == gate
         assert ts.success_probability == A[0]
 
@@ -356,20 +359,22 @@ def _fraction_a_row(U):
     return A
 
 
-def test_exact_a_row_widens_a_denominator_missing_a_factor_of_t(rng):
-    # Solves scale U by lcm(1..n) first, so every division is exact there;
-    # here den lacks factors of t, and the row must widen den to stay exact.
-    widened = 0
+def test_exact_a_row_refuses_u_minus_a_changing_sign_twice(rng):
+    # Solver rows are multiples of L = lcm(1..n) and rise along t, so U - A
+    # changes sign at most once and every division by t is exact.
     for _ in range(40):
         n = rng.randint(2, 12)
-        den = rng.randint(1, 6)
-        u = [rng.randint(0, 3 * den) for _ in range(n + 1)]
-        U = [Fraction(x, den) for x in u]
-        a, wide = _exact_a_row(u, den)
-        assert [Fraction(x, wide) for x in a] == _fraction_a_row(U)
-        assert [Fraction(x, wide) for x in u] == U  # u rescaled in place
-        widened += wide != den
-    assert widened > 20
+        L = lcm(*range(1, n + 1))
+        u = sorted(rng.randint(0, 3) * L for _ in range(n + 1))
+        before = list(u)
+        a = _exact_a_row(u)
+        assert [Fraction(x, L) for x in a] == _fraction_a_row([Fraction(x, L) for x in u])
+        assert u == before
+    # U = (0, 0, 1, 0, 1) over L = 12: U - A is + at t = 4, - at t = 3 and
+    # + at t = 2, and A[1] = 5/8 is not a multiple of 1/12.  The row is
+    # refused, not rounded.
+    with pytest.raises(ValidationError, match="t=2"):
+        _exact_a_row([0, 0, 12, 0, 12])
 
 
 def _misreads_are_ties(n, got, want, margin, tol):

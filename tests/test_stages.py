@@ -26,7 +26,7 @@ def test_streamed_thresholds_equal_stored_on_digest_corpus():
     for name, spec, mode in solves:
         tables = compute_tables(spec, mode)
         stored = extract_thresholds(tables), pre_query_stop_thresholds(tables)
-        streamed = read_stages(spec, mode, stages(spec, mode))
+        streamed = read_stages(spec, stages(spec, mode))
         assert streamed == stored, (name, mode)
         value = streamed[0].success_probability
         assert repr(value) == repr(stored[0].success_probability) == repr(tables.a(0, 0))

@@ -19,7 +19,10 @@ Each ``Stage`` says which arithmetic it holds.  Exact stages evaluate the
 recursion as written, on integer numerators over one denominator
 (``_exact_rows``); float stages use an algebraically identical slack form
 with ratchets (``stages``), so flat regions stay exact and every table
-ordering holds without tolerance.
+ordering holds without tolerance.  A float U row is built one stretch of t
+at a time, between the cut points where a level's p-arm starts to win, and
+the float stages stop changing after a few dozen k: the first stage equal
+to the one before it ends the solve (``_float_rows``).
 
 The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
@@ -37,7 +40,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import compress, count, islice, pairwise, repeat
 from math import gcd, lcm
 from operator import ge
 from typing import NamedTuple
@@ -75,10 +78,12 @@ class Stage(NamedTuple):
 # Largest solve accepted, counted in table cells: A has K+1 rows and U has
 # K+2 (the t/n row included), each of n+1 cells.  Only compute_tables keeps
 # them all; ``stages`` holds a few rows at a time, so for a streamed solve
-# the cap bounds work, which grows with n*K, and not memory.  On a 2-vCPU VM
-# a float solve of 7*10**6 cells (n = 10**6, K = 2, M = 4) peaks near
-# 0.28 GB streamed and 0.31 GB kept.  Past the cap a solve is refused before
-# anything is allocated.
+# the cap bounds work, not memory.  Exact work grows with n*K; float work
+# grows with n*K only up to the fixed point of ``_float_rows`` (about 25
+# stages at p = 9/10), and past it not at all.  On a 2-vCPU VM a float solve
+# of 7*10**6 cells (n = 10**6, K = 2, M = 4) peaks near 0.24 GB streamed and
+# 0.27 GB kept.  Past the cap a solve is refused before anything is
+# allocated.
 MAX_TABLE_CELLS = 10_000_000
 
 # Largest exact-rational solve, counted as table cells times n.  Exact values
@@ -195,7 +200,10 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
     stable extraction ties), the U step collapses to t/n * sum(p) where every
     max picks its p-arm, and each finished row is max-ratcheted against its
     neighbors (one more query spent; U >= A and U >= t/n).  All three are
-    float-only: on the true values they change nothing.
+    float-only: on the true values they change nothing.  The float U step
+    runs over the stretches of t where the winning levels are fixed, and
+    once a float stage repeats the one before it, that Stage object is
+    yielded for every later k (``_float_rows`` gives both arguments).
     """
     n, K = spec.n, spec.K
     cells = (2 * K + 3) * (n + 1)
@@ -299,12 +307,29 @@ def _exact_a_row(u: list[int]) -> list[int]:
 
 
 def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
-    """The stages in IEEE doubles.
+    """The stages in IEEE doubles, each with the bits of the cell-by-cell loop.
 
     The A step is a recurrence in t and runs cell by cell.  The U step has
-    none and runs arm by arm over whole rows, but every cell still goes
-    through the same IEEE operations, in the same m order, as in a loop over
-    m per cell; ``tests/test_table_digests.py`` pins the resulting bits.
+    none and runs over stretches of t.  Level m's p-arm wins where d(m) =
+    p(m)*t/n - q(m)*A[k][t] > 0, and that test never turns false again along
+    t: t/n never falls and A[k] never rises (see ``read_stages``), and IEEE
+    products and differences are monotone in each operand.  So each level's
+    cut point is bisected, and between cut points the set of winning levels
+    is fixed.  There every cell gets the IEEE operations of a loop over m per
+    cell, in the same m order: t/n * sum(p) where every level wins, else
+    A*sum(q) + e, with e the winning d(m) summed left to right from 0.0.
+    ``tests/test_table_digests.py`` and ``tests/test_float_kernel.py`` pin
+    the resulting bits.
+
+    The stages reach a fixed point.  Stage k-1 is a function of stage k
+    alone: U[k] is built from A[k] and U[k+1], and A[k-1] from U[k] and the
+    ratchet against A[k].  So if stage k equals stage k+1, then stage k-1 =
+    f(stage k) = f(stage k+1) = stage k, and by induction every stage down
+    to k = 0 is that stage.  Equal means bit for bit here: every cell is a
+    sum or product of non-negative doubles started from +0.0, so no row
+    holds a NaN or a -0.0 that == would misread.  The first repeat ends
+    the solve: the previous stage is yielded for it and every later k.
+    Exact stages change den every stage and are not checked.
     """
     n, K = spec.n, spec.K
     p, q = spec.model.float_weights()
@@ -314,9 +339,10 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
     for pm, qm in zip(p, q):
         sum_p += pm
         sum_q += qm
+    arms = tuple(zip(p, q))
 
     ratio = tuple(t / n for t in range(n + 1))
-    up = ratio  # U[K+1][t] = t/n, the no-query reward
+    up, last = ratio, None  # U[K+1][t] = t/n, the no-query reward
     for k in range(K, -1, -1):
         row = [0.0] * (n + 1)
         a = row[n]
@@ -328,34 +354,55 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
                 a += gain / t
             row[t - 1] = a
         row[0] = max(up[1], a)  # the t=1 step is exactly a max
-        if k < K:
+        if last is not None:
             # A[k] >= A[k+1] (one more query spent) is a theorem, so this is a
             # no-op on the true values; in float it pins the stage ordering
             # where the true gap is below one ulp.
-            row = [b if b > a else a for a, b in zip(row, after)]
-        after = row = tuple(row)
-        yield Stage(row, up)
+            row = [b if b > a else a for a, b in zip(row, last.A)]
+        stage = Stage(tuple(row), up)
+        if stage == last:
+            yield from repeat(last, k + 1)
+            return
+        yield stage
+        last = stage
         if k >= 1:
-            # Per cell: extra = sum of the positive d(m) = p(m)*t/n - q(m)*A
-            # in m order, and won = every d(m) > 0.
-            extra = [0.0] * (n + 1)
-            won = [True] * (n + 1)
-            for pm, qm in zip(p, q):
-                d = [pm * x - qm * a for x, a in zip(ratio, row)]
-                extra = [e + dm if dm > 0.0 else e for e, dm in zip(extra, d)]
-                won = [w and dm > 0.0 for w, dm in zip(won, d)]
-            # When every max picks its p-arm the sum collapses identically
+            up = _float_u_row(stage, ratio, arms, sum_p, sum_q)
+
+
+def _float_u_row(
+    stage: Stage, ratio: Row, arms: tuple[tuple[float, float], ...], sum_p: float, sum_q: float
+) -> Row:
+    """U[k] from the float stage (A[k], U[k+1]), one stretch of t at a time.
+
+    Each level's cut point, the least t where its p-arm wins, is bisected
+    (why that is sound is in ``_float_rows``).  Between cut points the
+    winning levels are fixed, so a stretch takes one pass per winning level
+    and one for U, and the three whole-row ratchets follow.
+    """
+    row, up = stage.A, stage.U
+    span = range(len(row))
+    cuts = [
+        bisect_left(span, True, key=lambda t: pm * ratio[t] - qm * row[t] > 0.0)
+        for pm, qm in arms
+    ]
+    cand = []
+    for lo, hi in pairwise(sorted({0, len(row), *cuts})):
+        xs, ys = ratio[lo:hi], row[lo:hi]
+        won = [arm for arm, cut in zip(arms, cuts) if cut <= lo]
+        if len(won) == len(arms):
+            # Where every max picks its p-arm the sum collapses identically
             # to t/n * sum(p); using that keeps the region exact in float.
-            # When none does, extra is zero and this is A * sum(q).
-            cand = [
-                x * sum_p if w else a * sum_q + e for w, x, a, e in zip(won, ratio, row, extra)
-            ]
-            # U >= A and U >= U[next stage] are theorems; same ratchet.
-            cand = [a if a > c else c for c, a in zip(cand, row)]
-            up = [u if u > c else c for c, u in zip(cand, up)]
-            up[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
-            up = tuple(up)
-            del d, extra, won, cand  # not to be held through the next stage
+            cand += [x * sum_p for x in xs]
+            continue
+        e = [0.0] * (hi - lo)
+        for pm, qm in won:
+            e = [s + (pm * x - qm * y) for s, x, y in zip(e, xs, ys)]
+        cand += [y * sum_q + s for y, s in zip(ys, e)]
+    # U >= A and U >= U[k+1] are theorems; ratcheted as A >= A[k+1] is.
+    cand = [a if a > c else c for c, a in zip(cand, row)]
+    up = [u if u > c else c for c, u in zip(cand, up)]
+    up[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
+    return tuple(up)
 
 
 def _first(hits: Iterable[bool]) -> int:

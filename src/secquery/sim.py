@@ -11,7 +11,9 @@ Trials are grouped into fixed-size blocks; block b draws all its randomness
 from a Philox stream keyed by SeedSequence(seed, spawn_key=(b,)).  Because the
 block layout depends only on the trial count, results are a pure function of
 (spec, thresholds, trials, seed) at any parallelism level, and aggregation is
-exact integer addition.
+exact integer addition.  Parallel runs fork their workers directly: each child
+inherits the spec and thresholds, runs its share of the blocks and sends back
+two integers, so nothing is pickled and no pool module is imported.
 
 The walk shares no code with the other two walkers of a ``ThresholdSet``
 (``policy.run_strategy`` and ``oracle.exact_success_probability``) and imports
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -117,12 +120,88 @@ def _simulate_block(
     return successes, queries
 
 
+def _fork_workers(
+    run_block: Callable[..., tuple[int, int]], blocks: list[tuple[int, int]], workers: int
+) -> list[tuple[int, int]]:
+    """(successes, queries) summed over each of ``workers`` forked children.
+
+    Child w runs blocks w, w + workers, w + 2*workers, ... and writes its two
+    sums to a pipe.  It leaves by os._exit, so it never returns into the
+    caller's code and flushes no buffer it inherited; a child that raises
+    writes its traceback to fd 2 and exits with status 1.  The parent runs no
+    block.  It reads every pipe to EOF and reaps every child before it raises
+    anything: ChildProcessError for a child that exits nonzero, is killed by a
+    signal, or sends a malformed result.
+
+    Forking is safe only while the caller has one thread.  numpy's OpenBLAS
+    pool stops its threads in its own fork handler; a caller that runs
+    threads of its own gets Python's fork warning (3.12+).
+    """
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(run_block, blocks[w::workers], write_end)
+                pids.append(pid)
+            finally:
+                os.close(write_end)
+        replies = [_read_to_eof(fd) for fd in pipes]
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    sums = []
+    for pid, code, reply in zip(pids, codes, replies):
+        if code < 0:
+            raise ChildProcessError(f"Monte Carlo worker {pid} was killed by signal {-code}")
+        if code > 0:
+            raise ChildProcessError(f"Monte Carlo worker {pid} exited with status {code}")
+        fields = reply.split()
+        if len(fields) != 2 or not all(f.isdigit() for f in fields):
+            raise ChildProcessError(
+                f"Monte Carlo worker {pid} exited with status 0 but sent {reply!r}"
+            )
+        sums.append((int(fields[0]), int(fields[1])))
+    return sums
+
+
+def _child(
+    run_block: Callable[..., tuple[int, int]], blocks: list[tuple[int, int]], fd: int
+) -> None:
+    """Body of a forked worker: run the blocks, write "successes queries" to fd, exit."""
+    status = 1
+    try:
+        results = [run_block(b) for b in blocks]
+        os.write(fd, b"%d %d" % (sum(r[0] for r in results), sum(r[1] for r in results)))
+        status = 0
+    except BaseException:  # whatever the child raised, it must not return into the caller
+        import traceback  # only a failing child needs it; no command imports it otherwise
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 64):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> SimResult:
     """Estimate the success probability over cfg.trials independent episodes.
 
-    Blocks run in a process pool of min(cfg.parallelism, usable CPUs, blocks)
-    workers, where usable CPUs are those this process may run on; the result
-    does not depend on the pool size.
+    Blocks run on min(cfg.parallelism, usable CPUs, blocks) workers, where
+    usable CPUs are those this process may run on.  With one worker, or where
+    os.fork does not exist, every block runs in this process; otherwise each
+    worker is a forked child (see _fork_workers) and this process only adds
+    their integer sums, so the result does not depend on the worker count.
+    A failed worker raises ChildProcessError.
     """
     thresholds.check_fits(spec)
     run_block = partial(_simulate_block, spec, thresholds, cfg.seed)
@@ -131,16 +210,11 @@ def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> 
         for i in range(0, cfg.trials, BLOCK_TRIALS)
     ]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cfg.parallelism, cpus or 1, len(blocks))
+    workers = min(cfg.parallelism, cpus or 1, len(blocks)) if hasattr(os, "fork") else 1
     if workers == 1:
         results = [run_block(b) for b in blocks]
     else:
-        # Imported here: the pool loads multiprocessing, which no other
-        # command needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
+        results = _fork_workers(run_block, blocks, workers)
     successes = sum(r[0] for r in results)
     queries = sum(r[1] for r in results)
     estimate = successes / cfg.trials

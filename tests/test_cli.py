@@ -403,6 +403,28 @@ def test_trial_cap_boundary(tmp_path, monkeypatch, capsys):
     assert out.out == "" and out.err.startswith("error:") and "MAX_TRIALS=3" in out.err
 
 
+def test_simulate_worker_failure_exits_1(tmp_path, monkeypatch, capsys):
+    import signal
+
+    from secquery import cli, sim
+
+    parent = os.getpid()
+
+    def killed_block(*args):
+        if os.getpid() == parent:
+            raise AssertionError("a block ran in the parent process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    config = str(write_config(tmp_path, n=10, K=1, p="0.8"))
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sim, "_simulate_block", killed_block)
+    trials = str(2 * sim.BLOCK_TRIALS)
+    assert cli.main(["simulate", "--config", config, "--trials", trials, "--parallelism", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: Monte Carlo worker")
+    assert f"killed by signal {signal.SIGKILL.value}" in out.err
+
+
 def test_oversized_model_count_is_refused_before_allocating():
     # [2, 3] * 10**12 alone would need terabytes; the MAX_VERIFY_MODELS cap
     # refuses the count first.

@@ -89,7 +89,19 @@ def test_walkers_do_not_import_each_other():
 
 
 def test_cli_import_does_not_load_the_process_pool():
-    # Only a pooled monte_carlo needs multiprocessing; other commands skip its import.
-    code = "import sys, secquery.cli; print('concurrent.futures.process' in sys.modules)"
+    # Importing cli loads no pool module, and neither does a pooled monte_carlo,
+    # whose workers are forked directly.
+    code = (
+        "import sys, secquery.cli, secquery.sim as sim\n"
+        "from secquery import ProblemSpec, SimConfig, symmetric_binary_model\n"
+        "from secquery import compute_tables, extract_thresholds\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "sim.os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "spec = ProblemSpec(20, 3, symmetric_binary_model(0.8))\n"
+        "cfg = SimConfig(trials=2 * sim.BLOCK_TRIALS, seed=5, parallelism=2)\n"
+        "sim.monte_carlo(spec, extract_thresholds(compute_tables(spec)), cfg)\n"
+        "print([m for m in pool if m in sys.modules])\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n[]\n"

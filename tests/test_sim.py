@@ -1,7 +1,11 @@
-import concurrent.futures
 import math
+import os
 import random
+import re
+import signal
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -94,20 +98,11 @@ def test_monte_carlo_parallelism_invariance():
 def test_monte_carlo_pool_capped_by_cpus_and_blocks(monkeypatch):
     pool_sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
+    def serial_pool(run_block, blocks, workers):
+        pool_sizes.append(workers)
+        return [run_block(b) for b in blocks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sim, "_fork_workers", serial_pool)
     model = symmetric_binary_model(0.8)
     spec = ProblemSpec(20, 3, model)
     _, ts = solve(20, 3, model)
@@ -124,6 +119,68 @@ def test_monte_carlo_pool_capped_by_cpus_and_blocks(monkeypatch):
         assert monte_carlo(spec, ts, huge) == serial
     # 2 CPUs cap the pool at 2, 64 CPUs at the 3 blocks; an unknown count runs in process.
     assert pool_sizes == [2, 3]
+
+
+def test_monte_carlo_without_fork_runs_in_process(monkeypatch):
+    monkeypatch.delattr(sim.os, "fork")
+    model = symmetric_binary_model(0.8)
+    spec = ProblemSpec(20, 3, model)
+    _, ts = solve(20, 3, model)
+    cfg = SimConfig(trials=3 * BLOCK_TRIALS, seed=5, parallelism=2)
+    assert monte_carlo(spec, ts, cfg) == monte_carlo(spec, ts, SimConfig(cfg.trials, cfg.seed))
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("raise", "exited with status 1"),
+        ("kill", f"was killed by signal {signal.SIGKILL.value}"),
+        ("malformed", "exited with status 0 but sent b'-2 0'"),
+    ],
+)
+def test_monte_carlo_worker_failure(monkeypatch, capfd, failure, message):
+    parent = os.getpid()
+
+    def failing_block(*args):
+        if os.getpid() == parent:
+            raise AssertionError("a block ran in the parent process")
+        if failure == "raise":
+            raise RuntimeError("block failed in the worker")
+        if failure == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return (-1, 0)
+
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sim, "_simulate_block", failing_block)
+    model = symmetric_binary_model(0.8)
+    spec = ProblemSpec(20, 3, model)
+    _, ts = solve(20, 3, model)
+    cfg = SimConfig(trials=4 * BLOCK_TRIALS, seed=5, parallelism=2)
+    with pytest.raises(ChildProcessError, match=re.escape(message)):
+        monte_carlo(spec, ts, cfg)
+    # Every child was reaped before the error was raised.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    err = capfd.readouterr().err
+    assert ("RuntimeError: block failed in the worker" in err) == (failure == "raise")
+
+
+def test_forked_workers_flush_no_inherited_stdout():
+    # Text buffered in the parent before the fork is written once, by the parent.
+    code = (
+        "import sys, secquery.sim as sim\n"
+        "from secquery import ProblemSpec, SimConfig, symmetric_binary_model\n"
+        "from secquery import compute_tables, extract_thresholds\n"
+        "sim.os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "spec = ProblemSpec(20, 3, symmetric_binary_model(0.8))\n"
+        "ts = extract_thresholds(compute_tables(spec))\n"
+        "sys.stdout.write('buffered;')\n"
+        "cfg = SimConfig(trials=2 * sim.BLOCK_TRIALS, seed=5, parallelism=2)\n"
+        "print(sim.monte_carlo(spec, ts, cfg).trials)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"buffered;{2 * BLOCK_TRIALS}\n", "")
 
 
 def test_monte_carlo_query_accounting():

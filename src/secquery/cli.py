@@ -158,15 +158,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     p_literals = [tok.strip() for tok in args.p_values.split(",") if tok.strip()]
     if not p_literals:
         raise ValidationError("--p-values is empty")
-    ks = sorted(set(range(lo, hi + 1)) | {0})  # K=0 baseline always included
     points = [(parse_prob(literal, args.mode), literal) for literal in p_literals]
     lines = ["p,K,success"]
     for p, literal in sorted(points, key=lambda point: float(point[0])):
         # Budget K's stages are the last K+1 of budget hi's, so one solve per
         # model gives every K: values[K] is A[hi-K][0], with K queries left.
+        # The spec and the solve's size caps refuse a bad n or hi before
+        # anything of size hi is built.
         spec = ProblemSpec(args.n, hi, symmetric_binary_model(p))
         values = [stage.value(stage.A[0]) for stage in stages(spec, args.mode)]
-        for K in ks:
+        for K in sorted({0, *range(lo, hi + 1)}):  # K=0 baseline always included
             lines.append(f"{literal},{K},{_fmt(values[K])}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -12,8 +12,9 @@ from a Philox stream keyed by SeedSequence(seed, spawn_key=(b,)).  Because the
 block layout depends only on the trial count, results are a pure function of
 (spec, thresholds, trials, seed) at any parallelism level, and aggregation is
 exact integer addition.  Parallel runs fork their workers directly: each child
-inherits the spec and thresholds, runs its share of the blocks and sends back
-two integers, so nothing is pickled and no pool module is imported.
+inherits the spec and thresholds, runs its share of the blocks and stores two
+integers in its slot of a shared page, which the parent reads only after the
+child has exited 0.  Nothing is pickled and no pool module is imported.
 
 The walk shares no code with the other two walkers of a ``ThresholdSet``
 (``policy.run_strategy`` and ``oracle.exact_success_probability``) and imports
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -40,6 +42,9 @@ BLOCK_TRIALS = 8192
 # trials/s.  The block list is built up front, so a far larger count would
 # run out of memory before the first block.
 MAX_TRIALS = 10**9
+
+# A forked worker's (successes, queries), stored in its slot of the shared page.
+_SLOT = struct.Struct("=QQ")
 
 
 @dataclass(frozen=True)
@@ -125,58 +130,52 @@ def _fork_workers(
 ) -> list[tuple[int, int]]:
     """(successes, queries) summed over each of ``workers`` forked children.
 
-    Child w runs blocks w, w + workers, w + 2*workers, ... and writes its two
-    sums to a pipe.  It leaves by os._exit, so it never returns into the
-    caller's code and flushes no buffer it inherited; a child that raises
-    writes its traceback to fd 2 and exits with status 1.  The parent runs no
-    block.  It reads every pipe to EOF and reaps every child before it raises
-    anything: ChildProcessError for a child that exits nonzero, is killed by a
-    signal, or sends a malformed result.
+    The results come back through one shared anonymous page of ``workers``
+    slots.  Child w runs blocks w, w + workers, w + 2*workers, ... and stores
+    its two sums in slot w.  It leaves by os._exit, so it never returns into
+    the caller's code and flushes no buffer it inherited; a child that raises
+    (a count that does not fit its unsigned slot raises struct.error) writes
+    its traceback to fd 2 and exits with status 1.  The parent runs no block.
+    It reaps every child before it raises anything: ChildProcessError for a
+    child that exits nonzero or is killed by a signal.  A slot is read only
+    once every child has exited 0.
 
     Forking is safe only while the caller has one thread.  numpy's OpenBLAS
     pool stops its threads in its own fork handler; a caller that runs
     threads of its own gets Python's fork warning (3.12+).
     """
-    pids, pipes = [], []
-    try:
-        for w in range(workers):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
+    import mmap  # only a forked run needs it
+
+    with mmap.mmap(-1, _SLOT.size * workers) as sums:
+        pids = []
+        try:
+            for w in range(workers):
                 pid = os.fork()
                 if pid == 0:
-                    _child(run_block, blocks[w::workers], write_end)
+                    _child(run_block, blocks[w::workers], sums, w)
                 pids.append(pid)
-            finally:
-                os.close(write_end)
-        replies = [_read_to_eof(fd) for fd in pipes]
-    finally:
-        for fd in pipes:
-            os.close(fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    sums = []
-    for pid, code, reply in zip(pids, codes, replies):
-        if code < 0:
-            raise ChildProcessError(f"Monte Carlo worker {pid} was killed by signal {-code}")
-        if code > 0:
-            raise ChildProcessError(f"Monte Carlo worker {pid} exited with status {code}")
-        fields = reply.split()
-        if len(fields) != 2 or not all(f.isdigit() for f in fields):
-            raise ChildProcessError(
-                f"Monte Carlo worker {pid} exited with status 0 but sent {reply!r}"
-            )
-        sums.append((int(fields[0]), int(fields[1])))
-    return sums
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for pid, code in zip(pids, codes):
+            if code < 0:
+                raise ChildProcessError(f"Monte Carlo worker {pid} was killed by signal {-code}")
+            if code > 0:
+                raise ChildProcessError(f"Monte Carlo worker {pid} exited with status {code}")
+        return list(_SLOT.iter_unpack(sums))
 
 
 def _child(
-    run_block: Callable[..., tuple[int, int]], blocks: list[tuple[int, int]], fd: int
+    run_block: Callable[..., tuple[int, int]],
+    blocks: list[tuple[int, int]],
+    sums: mmap.mmap,
+    slot: int,
 ) -> None:
-    """Body of a forked worker: run the blocks, write "successes queries" to fd, exit."""
+    """Body of a forked worker: run the blocks, store their two sums in a slot of sums, exit."""
     status = 1
     try:
         results = [run_block(b) for b in blocks]
-        os.write(fd, b"%d %d" % (sum(r[0] for r in results), sum(r[1] for r in results)))
+        successes, queries = sum(r[0] for r in results), sum(r[1] for r in results)
+        _SLOT.pack_into(sums, _SLOT.size * slot, successes, queries)
         status = 0
     except BaseException:  # whatever the child raised, it must not return into the caller
         import traceback  # only a failing child needs it; no command imports it otherwise
@@ -184,13 +183,6 @@ def _child(
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(status)
-
-
-def _read_to_eof(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 64):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def monte_carlo(spec: ProblemSpec, thresholds: ThresholdSet, cfg: SimConfig) -> SimResult:

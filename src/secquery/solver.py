@@ -430,9 +430,11 @@ def read_stages(
     reachable time (t >= r_k); on asymmetric models they can differ there,
     and then the pre-query rows lose value (see README).
 
-    Each stage is read in its own arithmetic.  Exact rows compare integer
-    numerators over the stage's den, the stop test as P(m)*t*den/n >=
-    Q(m)*N[t], the test the U step used; only A[0][0] becomes a Fraction.
+    Each stage is read in its own arithmetic, which every stage of one
+    solve shares, so the model's weights are read once.  Exact rows
+    compare integer numerators over the stage's den, the stop test as
+    P(m)*t*den/n >= Q(m)*N[t], the test the U step used; only A[0][0]
+    becomes a Fraction.
     Float rows (den None) compute t/n as the no-query row U[K+1] does, so
     they too compare the values the recursion used.  Existence at t=n is
     guaranteed: U is 1 or p(m) there while A[.][n] = 0.
@@ -442,21 +444,23 @@ def read_stages(
     slack A step only adds and the ratchet is a max of such rows) while
     t/n never falls, so once a stop test holds it holds at every later t.
     """
-    n = spec.n
+    n, model = spec.n, spec.model
     gates, stops = [], []
+    weights = None
     for stage in rows:
         a, u, den = stage
+        if weights is None:
+            weights = model.float_weights() if den is None else model.integer_weights()[1:]
+        p, q = weights
         if den is None:
-            p, q = spec.model.float_weights()
             p_arms = [lambda t, pm=pm: pm * (t / n) for pm in p]
         else:  # p(m)*t/n over den is P(m)*(den/n)*t
-            _, p, q = spec.model.integer_weights()
             p_arms = [(pm * (den // n)).__mul__ for pm in p]
         gates.append(_first(map(ge, islice(u, 1, None), islice(a, 1, None))))
         stops.append(tuple(_least(n, lambda t: arm(t) >= qm * a[t]) for arm, qm in zip(p_arms, q)))
     r_f, *r = gates
     s = tuple(reversed(stops[:-1]))
-    ts = ThresholdSet(n, spec.model.M, r_f, tuple(reversed(r)), s, stage.value(a[0]))
+    ts = ThresholdSet(n, model.M, r_f, tuple(reversed(r)), s, stage.value(a[0]))
     return ts, tuple(reversed(stops[1:]))
 
 

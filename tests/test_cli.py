@@ -208,6 +208,11 @@ def test_sweep_k_range_is_validated():
         assert cp.returncode == 1, (n, k_range, cp.stderr)
         assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
         assert cp.stdout == ""
+    # A huge range is refused before the list of budgets is built.
+    for n, k_range in (("10", "0:1000000000"), ("0", "0:100000000000")):
+        cp = run_cli_in_1gib("sweep", "--n", n, f"--k-range={k_range}", "--p-values", "0.9")
+        assert cp.returncode == 1, (n, k_range, cp.stderr[-2000:])
+        assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
 
 
 def test_sweep_reads_fraction_literals_like_decimals():

@@ -135,7 +135,7 @@ def test_monte_carlo_without_fork_runs_in_process(monkeypatch):
     [
         ("raise", "exited with status 1"),
         ("kill", f"was killed by signal {signal.SIGKILL.value}"),
-        ("malformed", "exited with status 0 but sent b'-2 0'"),
+        ("malformed", "exited with status 1"),
     ],
 )
 def test_monte_carlo_worker_failure(monkeypatch, capfd, failure, message):
@@ -163,6 +163,35 @@ def test_monte_carlo_worker_failure(monkeypatch, capfd, failure, message):
         os.waitpid(-1, os.WNOHANG)
     err = capfd.readouterr().err
     assert ("RuntimeError: block failed in the worker" in err) == (failure == "raise")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("failure", [None, "raise", "kill", "malformed"])
+def test_forked_run_leaves_parent_fds_as_they_were(monkeypatch, failure):
+    simulate_block = sim._simulate_block
+
+    def block(*args):
+        if failure == "raise":
+            raise RuntimeError("block failed in the worker")
+        if failure == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if failure == "malformed":
+            return (-1, 0)
+        return simulate_block(*args)
+
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sim, "_simulate_block", block)
+    model = symmetric_binary_model(0.8)
+    spec = ProblemSpec(20, 3, model)
+    _, ts = solve(20, 3, model)
+    cfg = SimConfig(trials=4 * BLOCK_TRIALS, seed=5, parallelism=2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    if failure is None:
+        assert monte_carlo(spec, ts, cfg).trials == cfg.trials
+    else:
+        with pytest.raises(ChildProcessError):
+            monte_carlo(spec, ts, cfg)
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_forked_workers_flush_no_inherited_stdout():

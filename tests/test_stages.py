@@ -8,10 +8,19 @@ and the streamed one must not hold more rows as the budget K grows.
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 from table_digests import corpus
 
-from secquery import NumericMode, compute_tables, extract_thresholds, pre_query_stop_thresholds
+from secquery import (
+    NumericMode,
+    ProblemSpec,
+    ResponseModel,
+    compute_tables,
+    extract_thresholds,
+    pre_query_stop_thresholds,
+    symmetric_binary_model,
+)
 from secquery.cli import main
 from secquery.solver import read_stages, solve, stages
 
@@ -54,3 +63,19 @@ def test_solve_memory_does_not_grow_with_budget(tmp_path):
     for mode, n, small, large in (("float", 300, 6, 60), ("rational", 100, 3, 30)):
         peaks = [_solve_peak_bytes(tmp_path, mode, n, K) for K in (small, large)]
         assert peaks[1] < 2 * peaks[0], (mode, peaks)
+
+
+def test_exact_solve_reads_the_integer_weights_once_per_pass(monkeypatch):
+    # Each call builds Fractions and an lcm, and every stage of one solve
+    # uses the same weights.
+    calls = []
+    integer_weights = ResponseModel.integer_weights
+
+    def counted(model):
+        calls.append(model)
+        return integer_weights(model)
+
+    monkeypatch.setattr(ResponseModel, "integer_weights", counted)
+    spec = ProblemSpec(100, 10, symmetric_binary_model(Fraction(9, 10)))
+    solve(spec, NumericMode.EXACT_RATIONAL)
+    assert len(calls) <= 2  # one in _exact_rows, one in read_stages

@@ -166,7 +166,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # The spec and the solve's size caps refuse a bad n or hi before
         # anything of size hi is built.
         spec = ProblemSpec(args.n, hi, symmetric_binary_model(p))
-        values = [stage.value(stage.A[0]) for stage in stages(spec, args.mode)]
+        # map, unlike a comprehension, holds no stage while the next is built.
+        values = list(map(lambda stage: stage.value(stage.A[0]), stages(spec, args.mode)))
         for K in sorted({0, *range(lo, hi + 1)}):  # K=0 baseline always included
             lines.append(f"{literal},{K},{_fmt(values[K])}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -30,6 +30,11 @@ FLOAT_SUM_TOL = 1e-12
 MAX_LITERAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
 
+# Largest config file read, in bytes.  A config is O(M) bytes: 1 MiB holds
+# about 2*10**4 levels of 20-character literals.  Reading no further keeps
+# /dev/zero, a FIFO that never ends or a huge file from using up memory.
+MAX_CONFIG_BYTES = 1 << 20
+
 
 class ValidationError(ValueError):
     """Base class for invalid instance or config input."""
@@ -202,5 +207,10 @@ def parse_config(text: str | bytes, mode: NumericMode = NumericMode.FLOAT64) -> 
 
 
 def read_config(path: str | Path, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
-    return parse_config(Path(path).read_bytes(), mode)
+    """parse_config of a file; one longer than MAX_CONFIG_BYTES is refused unparsed."""
+    with open(path, "rb") as f:
+        raw = f.read(MAX_CONFIG_BYTES + 1)
+    if len(raw) > MAX_CONFIG_BYTES:
+        raise ValidationError(f"config {path} is longer than MAX_CONFIG_BYTES={MAX_CONFIG_BYTES}")
+    return parse_config(raw, mode)
 

@@ -77,13 +77,13 @@ class Stage(NamedTuple):
 
 # Largest solve accepted, counted in table cells: A has K+1 rows and U has
 # K+2 (the t/n row included), each of n+1 cells.  Only compute_tables keeps
-# them all; ``stages`` holds a few rows at a time, so for a streamed solve
-# the cap bounds work, not memory.  Exact work grows with n*K; float work
-# grows with n*K only up to the fixed point of ``_float_rows`` (about 25
-# stages at p = 9/10), and past it not at all.  On a 2-vCPU VM a float solve
-# of 7*10**6 cells (n = 10**6, K = 2, M = 4) peaks near 0.24 GB streamed and
-# 0.27 GB kept.  Past the cap a solve is refused before anything is
-# allocated.
+# them all; ``stages`` holds two rows at a time in exact mode and four in
+# float mode, so for a streamed solve the cap bounds work, not memory.  Exact
+# work grows with n*K; float work grows with n*K only up to the fixed point
+# of ``_float_rows`` (about 25 stages at p = 9/10), and past it not at all.
+# On a 2-vCPU VM a float solve of 7*10**6 cells (n = 10**6, K = 2, M = 4),
+# whose rows are 32 MB each, peaks near 0.18 GB streamed and 0.24 GB kept.
+# Past the cap a solve is refused before anything is allocated.
 MAX_TABLE_CELLS = 10_000_000
 
 # Largest exact-rational solve, counted as table cells times n.  Exact values
@@ -190,8 +190,10 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
 
     Instances needing more than MAX_TABLE_CELLS cells, and exact solves above
     MAX_RATIONAL_WORK, are refused with a ValidationError here, before the
-    first stage is computed.  The stages keep only the rows the next stage
-    reads; each row is yielded once, as a tuple.
+    first stage is computed.  Each row is yielded once, as a tuple, and is
+    dropped as soon as no later stage reads it: besides the stage the caller
+    holds, an exact solve holds A[k] and the row being built, two rows, and a
+    float solve the t/n row, A[k], U[k+1] and the row being built.
 
     Exact mode evaluates the defining recursion of the module docstring
     as written (see ``_exact_rows``).  The float path rearranges it so every
@@ -202,8 +204,8 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
     neighbors (one more query spent; U >= A and U >= t/n).  All three are
     float-only: on the true values they change nothing.  The float U step
     runs over the stretches of t where the winning levels are fixed, and
-    once a float stage repeats the one before it, that Stage object is
-    yielded for every later k (``_float_rows`` gives both arguments).
+    once a float stage repeats the one before it, that stage is yielded for
+    every later k (``_float_rows`` gives both arguments).
     """
     n, K = spec.n, spec.K
     cells = (2 * K + 3) * (n + 1)
@@ -249,6 +251,10 @@ def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
     multiplied back in, so den stays near L times the row's least common
     denominator instead of growing by L*D per stage.  No cell is a Fraction
     until it is read.
+
+    The U step overwrites A[k]'s list, and U[k+1]'s list is let go before it
+    starts: once the caller drops a stage, the solve holds A[k] and the row
+    being built, two rows.
     """
     n, K = spec.n, spec.K
     D, P, Q = spec.model.integer_weights()
@@ -260,15 +266,15 @@ def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
         if k >= 1:
             c = den // n  # t/n = t*c/den
             arms = [(Pm, Pm * c, Qm) for Pm, Qm in zip(P, Q)]
-            for t, x in enumerate(a):  # U[k] over den*D, built in A[k]'s list
+            u, den = a, den * D  # U[k] over den*D, built in A[k]'s list; U[k+1] is dropped
+            for t, x in enumerate(u):
                 sp = sq = 0
                 for Pm, Pc, Qm in arms:
                     if Pc * t >= Qm * x:  # p(m)*t/n >= q(m)*A[k][t]
                         sp += Pm
                     else:
                         sq += Qm
-                a[t] = sp * t * c + sq * x
-            u, den = a, den * D
+                u[t] = sp * t * c + sq * x
             # Divide out the row's common factor g and scale by L in one
             # step: x*L/g = x//(g/h) * (L/h) with h = gcd(g, L).  Mostly g
             # divides L, and the step is one product by the short L/g.
@@ -327,9 +333,12 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
     f(stage k) = f(stage k+1) = stage k, and by induction every stage down
     to k = 0 is that stage.  Equal means bit for bit here: every cell is a
     sum or product of non-negative doubles started from +0.0, so no row
-    holds a NaN or a -0.0 that == would misread.  The first repeat ends
-    the solve: the previous stage is yielded for it and every later k.
-    Exact stages change den every stage and are not checked.
+    holds a NaN or a -0.0 that == would misread.  The loop keeps no stage,
+    only A[k+1] for the A ratchet, which is applied per cell as A[k] is
+    written; ``_float_u_row`` reports whether U[k+1] equals U[k+2], and with
+    A[k] == A[k+1] that is the repeat.  The first repeat ends the solve: the
+    equal stage just built is yielded for it and every later k.  Exact
+    stages change den every stage and are not checked.
     """
     n, K = spec.n, spec.K
     p, q = spec.model.float_weights()
@@ -342,67 +351,78 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
     arms = tuple(zip(p, q))
 
     ratio = tuple(t / n for t in range(n + 1))
-    up, last = ratio, None  # U[K+1][t] = t/n, the no-query reward
+    # U[K+1][t] = t/n, the no-query reward.  The A ratchet of stage K is
+    # against zeros, a no-op on non-negative cells.
+    up, prev, same = ratio, (0.0,) * (n + 1), False
     for k in range(K, -1, -1):
         row = [0.0] * (n + 1)
-        a = row[n]
-        for t in range(n, 1, -1):
+        a = 0.0
+        for t, b in zip(range(n, 1, -1), islice(reversed(prev), 1, None)):
             # Slack form of the t-step: exact (no drift) wherever U <= A, so
             # flat stretches of A stay bit-flat and extraction ties are stable.
             gain = up[t] - a
             if gain > 0.0:
                 a += gain / t
-            row[t - 1] = a
-        row[0] = max(up[1], a)  # the t=1 step is exactly a max
-        if last is not None:
-            # A[k] >= A[k+1] (one more query spent) is a theorem, so this is a
-            # no-op on the true values; in float it pins the stage ordering
-            # where the true gap is below one ulp.
-            row = [b if b > a else a for a, b in zip(row, last.A)]
-        stage = Stage(tuple(row), up)
-        if stage == last:
-            yield from repeat(last, k + 1)
+            # A[k] >= A[k+1] (one more query spent) is a theorem, so this
+            # ratchet against b = A[k+1][t-1] is a no-op on the true values;
+            # in float it pins the stage ordering where the true gap is below
+            # one ulp.  The recurrence runs on in the unratcheted a.
+            row[t - 1] = b if b > a else a
+        a = max(up[1], a)  # the t=1 step is exactly a max
+        b = prev[0]
+        row[0] = b if b > a else a
+        row = tuple(row)
+        if same and row == prev:
+            yield from repeat(Stage(row, up), k + 1)
             return
-        yield stage
-        last = stage
+        yield Stage(row, up)
+        prev = row
         if k >= 1:
-            up = _float_u_row(stage, ratio, arms, sum_p, sum_q)
+            up, same = _float_u_row(row, up, ratio, arms, sum_p, sum_q)
+
+
+# Cells per piece of a float U row.  Each piece lies inside one stretch of
+# fixed winning levels, and its slices and lists are all the U step holds
+# besides the rows, so even a stretch as long as the row costs a few
+# thousand cells, not a row.  Larger pieces are no faster.
+_PIECE = 1024
 
 
 def _float_u_row(
-    stage: Stage, ratio: Row, arms: tuple[tuple[float, float], ...], sum_p: float, sum_q: float
-) -> Row:
-    """U[k] from the float stage (A[k], U[k+1]), one stretch of t at a time.
+    row: Row, up: Row, ratio: Row, arms: tuple[tuple[float, float], ...], sum_p: float, sum_q: float
+) -> tuple[Row, bool]:
+    """U[k] from the float rows A[k] and U[k+1], and whether it equals U[k+1].
 
     Each level's cut point, the least t where its p-arm wins, is bisected
     (why that is sound is in ``_float_rows``).  Between cut points the
-    winning levels are fixed, so a stretch takes one pass per winning level
-    and one for U, and the three whole-row ratchets follow.
+    winning levels are fixed, so a piece of such a stretch takes one pass
+    per winning level and one for U, and the two ratchets follow per piece,
+    each cell appended to the one new row.
     """
-    row, up = stage.A, stage.U
     span = range(len(row))
     cuts = [
         bisect_left(span, True, key=lambda t: pm * ratio[t] - qm * row[t] > 0.0)
         for pm, qm in arms
     ]
-    cand = []
-    for lo, hi in pairwise(sorted({0, len(row), *cuts})):
-        xs, ys = ratio[lo:hi], row[lo:hi]
+    out: list[float] = []
+    for lo, hi in pairwise(sorted({len(row), *cuts, *range(0, len(row), _PIECE)})):
+        xs, ys, us = ratio[lo:hi], row[lo:hi], up[lo:hi]
         won = [arm for arm, cut in zip(arms, cuts) if cut <= lo]
         if len(won) == len(arms):
             # Where every max picks its p-arm the sum collapses identically
             # to t/n * sum(p); using that keeps the region exact in float.
-            cand += [x * sum_p for x in xs]
-            continue
-        e = [0.0] * (hi - lo)
-        for pm, qm in won:
-            e = [s + (pm * x - qm * y) for s, x, y in zip(e, xs, ys)]
-        cand += [y * sum_q + s for y, s in zip(ys, e)]
-    # U >= A and U >= U[k+1] are theorems; ratcheted as A >= A[k+1] is.
-    cand = [a if a > c else c for c, a in zip(cand, row)]
-    up = [u if u > c else c for c, u in zip(cand, up)]
-    up[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
-    return tuple(up)
+            cand = [x * sum_p for x in xs]
+        else:
+            e = [0.0] * (hi - lo)
+            for pm, qm in won:
+                e = [s + (pm * x - qm * y) for s, x, y in zip(e, xs, ys)]
+            cand = [y * sum_q + s for y, s in zip(ys, e)]
+        # U >= A and U >= U[k+1] are theorems; ratcheted as A >= A[k+1] is.
+        cand = [a if a > c else c for c, a in zip(cand, ys)]
+        out += [u if u > c else c for c, u in zip(cand, us)]
+    out[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
+    new = tuple(out)
+    return new, new == up
 
 
 def _first(hits: Iterable[bool]) -> int:
@@ -443,11 +463,16 @@ def read_stages(
     both modes A[k] never rises along t (exactly, or in float because the
     slack A step only adds and the ratchet is a max of such rows) while
     t/n never falls, so once a stop test holds it holds at every later t.
+
+    The stages are read through map, which, unlike a for loop, holds no
+    stage while the next one is built; of each stage only its gate, its stop
+    row and, until the next one, its corner A[k][0] are kept.
     """
     n, model = spec.n, spec.model
-    gates, stops = [], []
-    weights = None
-    for stage in rows:
+    weights = corner = None
+
+    def read(stage: Stage) -> tuple[int, tuple[int, ...]]:
+        nonlocal weights, corner
         a, u, den = stage
         if weights is None:
             weights = model.float_weights() if den is None else model.integer_weights()[1:]
@@ -456,11 +481,15 @@ def read_stages(
             p_arms = [lambda t, pm=pm: pm * (t / n) for pm in p]
         else:  # p(m)*t/n over den is P(m)*(den/n)*t
             p_arms = [(pm * (den // n)).__mul__ for pm in p]
-        gates.append(_first(map(ge, islice(u, 1, None), islice(a, 1, None))))
-        stops.append(tuple(_least(n, lambda t: arm(t) >= qm * a[t]) for arm, qm in zip(p_arms, q)))
-    r_f, *r = gates
-    s = tuple(reversed(stops[:-1]))
-    ts = ThresholdSet(n, model.M, r_f, tuple(reversed(r)), s, stage.value(a[0]))
+        gate = _first(map(ge, islice(u, 1, None), islice(a, 1, None)))
+        stop = tuple(_least(n, lambda t: arm(t) >= qm * a[t]) for arm, qm in zip(p_arms, q))
+        corner = a[0], den
+        return gate, stop
+
+    (r_f, *r), stops = zip(*map(read, rows))
+    x, den = corner
+    value = x if den is None else Fraction(x, den)  # A[0][0]
+    ts = ThresholdSet(n, model.M, r_f, tuple(reversed(r)), tuple(reversed(stops[:-1])), value)
     return ts, tuple(reversed(stops[1:]))
 
 

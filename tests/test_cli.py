@@ -371,6 +371,25 @@ def test_deeply_nested_config_exits_1(tmp_path):
         assert "Traceback" not in cp.stderr and cp.stdout == "", command
 
 
+def test_config_longer_than_the_cap_exits_1(tmp_path):
+    # Read whole, /dev/zero used up the address space and ended in a
+    # MemoryError traceback.  A valid config padded one byte past the cap is
+    # refused too; padded to the cap it still parses.
+    from secquery.model import MAX_CONFIG_BYTES, read_config
+
+    doc = write_config(tmp_path, n=10, K=1, p="0.8").read_bytes()
+    at_cap, over = tmp_path / "at_cap.json", tmp_path / "over.json"
+    at_cap.write_bytes(doc.ljust(MAX_CONFIG_BYTES))
+    over.write_bytes(doc.ljust(MAX_CONFIG_BYTES + 1))
+    assert read_config(at_cap).n == 10
+    for config in ("/dev/zero", str(over)):
+        for command in ("solve", "simulate"):
+            cp = run_cli_in_1gib(command, "--config", config)
+            assert cp.returncode == 1, (command, config, cp.stderr[-2000:])
+            assert cp.stderr.startswith("error:") and "MAX_CONFIG_BYTES" in cp.stderr
+            assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
 def test_oversized_solve_is_refused_before_allocating(tmp_path):
     # (2K+3)(n+1) cells of 10**8 x 2 would need several GB; the cap refuses
     # the instance well inside this 1 GiB address-space limit.

@@ -7,6 +7,7 @@ and the streamed one must not hold more rows as the budget K grows.
 """
 
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -63,6 +64,26 @@ def test_solve_memory_does_not_grow_with_budget(tmp_path):
     for mode, n, small, large in (("float", 300, 6, 60), ("rational", 100, 3, 30)):
         peaks = [_solve_peak_bytes(tmp_path, mode, n, K) for K in (small, large)]
         assert peaks[1] < 2 * peaks[0], (mode, peaks)
+
+
+def _row_bytes(mode: str, n: int, K: int) -> int:
+    """Bytes of one row of that solve: the tuple of its last A row plus its cells."""
+    exact = mode == "rational"
+    model = symmetric_binary_model(Fraction(9, 10) if exact else 0.9)
+    *_, stage = stages(ProblemSpec(n, K, model), NumericMode.EXACT_RATIONAL if exact else FLOAT)
+    return sys.getsizeof(stage.A) + sum(map(sys.getsizeof, stage.A))
+
+
+def test_streamed_solve_holds_two_exact_rows(tmp_path):
+    # The peak of `solve` in rows.  When the reader kept the stage it had
+    # read and each loop the stage before, exact n = 1000, K = 10 read 3.8
+    # rows and float n = 2*10**4, K = 3 read 5.6.  Dropping each row once no
+    # later stage reads it leaves 2.0 and 4.3: two exact rows, and in float
+    # the t/n row, A[k], U[k+1] and the row being built.
+    _solve_peak_bytes(tmp_path, "float", 30, 3)  # warm-up: imports and caches
+    for mode, n, K, bound in (("rational", 1000, 10, 2.5), ("float", 20_000, 3, 5.0)):
+        rows = _solve_peak_bytes(tmp_path, mode, n, K) / _row_bytes(mode, n, K)
+        assert rows <= bound, (mode, rows)
 
 
 def test_exact_solve_reads_the_integer_weights_once_per_pass(monkeypatch):

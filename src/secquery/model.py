@@ -9,6 +9,7 @@ from ``q`` otherwise.  All types are immutable after construction.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -207,8 +208,15 @@ def parse_config(text: str | bytes, mode: NumericMode = NumericMode.FLOAT64) -> 
 
 
 def read_config(path: str | Path, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
-    """parse_config of a file; one longer than MAX_CONFIG_BYTES is refused unparsed."""
-    with open(path, "rb") as f:
+    """parse_config of a file; one longer than MAX_CONFIG_BYTES is refused unparsed.
+
+    The path is opened non-blocking, so a FIFO with no writer does not wait
+    for one: its read returns end of file at once.  The reads then block, so
+    a pipe such as /dev/stdin is read to its end.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    with open(fd, "rb") as f:
+        os.set_blocking(fd, True)
         raw = f.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
         raise ValidationError(f"config {path} is longer than MAX_CONFIG_BYTES={MAX_CONFIG_BYTES}")

@@ -28,8 +28,9 @@ The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
 and after all queries stop at the first record time >= r_f.  Stage k alone
 fixes r_{k+1} and s_k (the final stop is stage K+1 of the query rule, so
-stage K fixes r_f), so ``solve`` reads them as ``stages`` yields each stage,
-in O(n) memory; only ``compute_tables`` (``solve --tables``) keeps all 2K+3
+stage K fixes r_f).  Each stage carries its gate r_{k+1}, found as the stage
+is built, and ``solve`` reads the rest as ``stages`` yields each stage, in
+O(n) memory; only ``compute_tables`` (``solve --tables``) keeps all 2K+3
 rows.
 """
 
@@ -51,16 +52,20 @@ Row = tuple[Number, ...]
 
 
 class Stage(NamedTuple):
-    """(A[k], U[k+1]) for one k.
+    """(A[k], U[k+1] or None, den, gate) for one k.
 
     Float rows hold the values and ``den`` is None.  Exact rows hold integer
-    numerators over the one denominator ``den`` that both rows share, so two
-    cells of a stage compare as integers.
+    numerators over the stage's one denominator ``den``, so two cells of a
+    stage compare as integers.  ``gate`` is r_{k+1} (r_f at
+    k = K): the least t >= 1 with U[k+1][t] >= A[k][t].  Float stages and
+    the stages ``compute_tables`` keeps hold U[k+1]; a streamed exact stage
+    holds None there, since the A step builds A[k] in U[k+1]'s list.
     """
 
     A: Row
-    U: Row
-    den: int | None = None
+    U: Row | None
+    den: int | None
+    gate: int
 
     def value(self, x: Number) -> Number:
         """A cell of this stage as a number: the float, or the Fraction x/den."""
@@ -77,7 +82,7 @@ class Stage(NamedTuple):
 
 # Largest solve accepted, counted in table cells: A has K+1 rows and U has
 # K+2 (the t/n row included), each of n+1 cells.  Only compute_tables keeps
-# them all; ``stages`` holds two rows at a time in exact mode and four in
+# them all; ``stages`` holds one row at a time in exact mode and four in
 # float mode, so for a streamed solve the cap bounds work, not memory.  Exact
 # work grows with n*K; float work grows with n*K only up to the fixed point
 # of ``_float_rows`` (about 25 stages at p = 9/10), and past it not at all.
@@ -103,7 +108,7 @@ class ValueTables:
     build one cell, ``A`` and ``U`` every cell on the first read.
     """
 
-    kept: tuple[Stage, ...]  # (A[k], U[k+1]) for k = 0..K
+    kept: tuple[Stage, ...]  # (A[k], U[k+1], den, gate) for k = 0..K
     spec: ProblemSpec
 
     @cached_property
@@ -186,14 +191,16 @@ class ThresholdSet:
 
 
 def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterator[Stage]:
-    """Solve stage by stage: yield the Stage (A[k], U[k+1]) for k = K..0 as each finishes.
+    """Solve stage by stage: yield the Stage of each k = K..0 as it finishes.
 
     Instances needing more than MAX_TABLE_CELLS cells, and exact solves above
     MAX_RATIONAL_WORK, are refused with a ValidationError here, before the
     first stage is computed.  Each row is yielded once, as a tuple, and is
     dropped as soon as no later stage reads it: besides the stage the caller
-    holds, an exact solve holds A[k] and the row being built, two rows, and a
-    float solve the t/n row, A[k], U[k+1] and the row being built.
+    holds, an exact solve holds one row, A[k] as the A step builds it in
+    U[k+1]'s list and then U[k] as the U step builds it in A[k]'s, and a
+    float solve the t/n row, A[k], U[k+1] and the row being built.  So an
+    exact stage comes without its U row; a float stage has it.
 
     Exact mode evaluates the defining recursion of the module docstring
     as written (see ``_exact_rows``).  The float path rearranges it so every
@@ -207,6 +214,16 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
     once a float stage repeats the one before it, that stage is yielded for
     every later k (``_float_rows`` gives both arguments).
     """
+    return _stages(spec, mode, keep_u=False)
+
+
+def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
+    """Every stage of ``stages``, kept with its U row: the tables ``solve --tables`` writes."""
+    return ValueTables(tuple(reversed(list(_stages(spec, mode, keep_u=True)))), spec)
+
+
+def _stages(spec: ProblemSpec, mode: NumericMode, keep_u: bool) -> Iterator[Stage]:
+    """``stages``, whose exact stages also hold U[k+1] when keep_u is true."""
     n, K = spec.n, spec.K
     cells = (2 * K + 3) * (n + 1)
     if cells > MAX_TABLE_CELLS:
@@ -226,21 +243,16 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
             f"rational solve of n={n}, K={K} needs cells*n = {work}, above "
             f"MAX_RATIONAL_WORK={MAX_RATIONAL_WORK}; solve it in float mode"
         )
-    return _exact_rows(spec)
+    return _exact_rows(spec, keep_u)
 
 
-def compute_tables(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> ValueTables:
-    """Every stage of ``stages``, kept: the tables ``solve --tables`` writes."""
-    return ValueTables(tuple(reversed(list(stages(spec, mode)))), spec)
-
-
-def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
+def _exact_rows(spec: ProblemSpec, keep_u: bool) -> Iterator[Stage]:
     """The stages in exact rationals: integer numerators over one denominator per stage.
 
-    A stage's two rows share the denominator ``den``, and A[k][t] = N[t]/den.
+    A stage's rows share the denominator ``den``, and A[k][t] = N[t]/den.
     den carries L = lcm(1..n) on top of the denominator of U[k+1], so every
     division by t in the A step is an exact integer division (the argument
-    is in ``_exact_a_row``).  The U step divides by nothing: with p(m) = P(m)/D
+    is in ``_exact_a_step``).  The U step divides by nothing: with p(m) = P(m)/D
     and q(m) = Q(m)/D over their least common denominator D,
 
         U[k][t] = (sum(winning P) * t * den/n + sum(winning Q) * N[t]) / (den*D)
@@ -252,21 +264,24 @@ def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
     denominator instead of growing by L*D per stage.  No cell is a Fraction
     until it is read.
 
-    The U step overwrites A[k]'s list, and U[k+1]'s list is let go before it
-    starts: once the caller drops a stage, the solve holds A[k] and the row
-    being built, two rows.
+    The solve holds one list.  The A step overwrites U[k+1] with A[k] cell by
+    cell and finds the gate as it goes; the U step then overwrites A[k] with
+    U[k].  So once the caller drops a stage, the solve holds one row, and a
+    stage carries no U row: only with keep_u (``compute_tables``) is U[k+1]
+    copied out before the A step overwrites it.
     """
     n, K = spec.n, spec.K
     D, P, Q = spec.model.integer_weights()
     L = lcm(*range(1, n + 1))
     u, den = [t * L for t in range(n + 1)], n * L  # U[K+1][t] = t/n, the no-query reward
     for k in range(K, -1, -1):
-        a = _exact_a_row(u)
-        yield Stage(tuple(a), tuple(u), den)
+        up = tuple(u) if keep_u else None
+        gate = _exact_a_step(u)  # u holds A[k] from here on
+        yield Stage(tuple(u), up, den, gate)
         if k >= 1:
             c = den // n  # t/n = t*c/den
             arms = [(Pm, Pm * c, Qm) for Pm, Qm in zip(P, Q)]
-            u, den = a, den * D  # U[k] over den*D, built in A[k]'s list; U[k+1] is dropped
+            den *= D  # U[k] over den*D, built in A[k]'s list
             for t, x in enumerate(u):
                 sp = sq = 0
                 for Pm, Pc, Qm in arms:
@@ -286,8 +301,12 @@ def _exact_rows(spec: ProblemSpec) -> Iterator[Stage]:
             den = den // g * s
 
 
-def _exact_a_row(u: list[int]) -> list[int]:
-    """A[k] from U[k+1], both as integer numerators over the stage's den.
+def _exact_a_step(u: list[int]) -> int:
+    """Overwrite U[k+1] with A[k] in place, both integer numerators over the stage's den.
+
+    Returns the gate, the least t >= 1 with U[k+1][t] >= A[k][t], compared
+    as integers, so a gap below one float ulp is read exactly.  It exists:
+    at t = n, U >= 0 = A.  Slot t-1 is overwritten only after U[t-1] is read.
 
     The A step is N[t-1] = ((t-1)*N[t] + U[t]) / t where U[t] > N[t], and
     N[t] otherwise; the t = 1 step is a max.  Each U[t] is a multiple of
@@ -299,17 +318,21 @@ def _exact_a_row(u: list[int]) -> list[int]:
     and U rises along t) and the one gate r.  It is refused, not rounded.
     """
     n = len(u) - 1
-    a = [0] * (n + 1)
-    x = 0
+    x, y = 0, u[n]  # A[k][t] and U[k+1][t], from t = n down
+    u[n] = 0
     for t in range(n, 1, -1):
-        y = u[t]
-        if y > x:
-            x, r = divmod((t - 1) * x + y, t)
-            if r:
-                raise ValidationError(f"A step remainder at t={t}: U - A changes sign twice")
-        a[t - 1] = x
-    a[0] = max(u[1], a[1])
-    return a
+        if y >= x:
+            gate = t
+            if y > x:
+                x, r = divmod((t - 1) * x + y, t)
+                if r:
+                    raise ValidationError(f"A step remainder at t={t}: U - A changes sign twice")
+        y = u[t - 1]
+        u[t - 1] = x
+    if y >= x:
+        gate = 1
+    u[0] = max(y, x)  # the t=1 step is exactly a max
+    return gate
 
 
 def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
@@ -339,6 +362,9 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
     A[k] == A[k+1] that is the repeat.  The first repeat ends the solve: the
     equal stage just built is yielded for it and every later k.  Exact
     stages change den every stage and are not checked.
+
+    A float stage keeps U[k+1], which the loop holds anyway, and its gate is
+    scanned from t = 1 over (A[k], U[k+1]) just before the stage is yielded.
     """
     n, K = spec.n, spec.K
     p, q = spec.model.float_weights()
@@ -372,10 +398,11 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
         b = prev[0]
         row[0] = b if b > a else a
         row = tuple(row)
+        gate = _first(map(ge, islice(up, 1, None), islice(row, 1, None)))
         if same and row == prev:
-            yield from repeat(Stage(row, up), k + 1)
+            yield from repeat(Stage(row, up, None, gate), k + 1)
             return
-        yield Stage(row, up)
+        yield Stage(row, up, None, gate)
         prev = row
         if k >= 1:
             up, same = _float_u_row(row, up, ratio, arms, sum_p, sum_q)
@@ -438,17 +465,18 @@ def _least(n: int, holds: Callable[[int], bool]) -> int:
 def read_stages(
     spec: ProblemSpec, rows: Iterable[Stage]
 ) -> tuple[ThresholdSet, tuple[tuple[int, ...], ...]]:
-    """The thresholds, read from the stages (A[k], U[k+1]) for k = K..0 as they come.
+    """The thresholds, read from the stages for k = K..0 as they come.
 
-    Stage k gives the gate r_{k+1} (r_f at k = K), the least t with
-    U[k+1][t] >= A[k][t], and one stop row: for each level m the least t
-    with p(m)*t/n >= q(m)*A[k][t].  That row is s_k of the ThresholdSet,
-    the executable rule, which compares against the value once the k-th
-    query is charged.  It is also s_{k+1} of the pre-query rows returned
-    second, the convention of the published reference grid that `table2`
-    reproduces.  On that grid's symmetric models the two agree at every
-    reachable time (t >= r_k); on asymmetric models they can differ there,
-    and then the pre-query rows lose value (see README).
+    Stage k carries its gate r_{k+1} (r_f at k = K), which ``_exact_a_step``
+    or ``_float_rows`` found as the stage was built, and gives one stop row:
+    for each level m the least t with p(m)*t/n >= q(m)*A[k][t].  That row is
+    s_k of the ThresholdSet, the executable rule, which compares against the
+    value once the k-th query is charged.  It is also s_{k+1} of the
+    pre-query rows returned second, the convention of the published
+    reference grid that `table2` reproduces.  On that grid's symmetric models
+    the two agree at every reachable time (t >= r_k); on asymmetric models
+    they can differ there, and then the pre-query rows lose value (see
+    README).
 
     Each stage is read in its own arithmetic, which every stage of one
     solve shares, so the model's weights are read once.  Exact rows
@@ -457,12 +485,12 @@ def read_stages(
     becomes a Fraction.
     Float rows (den None) compute t/n as the no-query row U[K+1] does, so
     they too compare the values the recursion used.  Existence at t=n is
-    guaranteed: U is 1 or p(m) there while A[.][n] = 0.
+    guaranteed: p(m) >= q(m)*A[.][n] = 0 there.
 
-    The gate is scanned from t = 1.  A stop test is found by bisection: in
-    both modes A[k] never rises along t (exactly, or in float because the
-    slack A step only adds and the ratchet is a max of such rows) while
-    t/n never falls, so once a stop test holds it holds at every later t.
+    A stop test is found by bisection: in both modes A[k] never rises along
+    t (exactly, or in float because the slack A step only adds and the
+    ratchet is a max of such rows) while t/n never falls, so once a stop
+    test holds it holds at every later t.  No U row is read.
 
     The stages are read through map, which, unlike a for loop, holds no
     stage while the next one is built; of each stage only its gate, its stop
@@ -473,7 +501,7 @@ def read_stages(
 
     def read(stage: Stage) -> tuple[int, tuple[int, ...]]:
         nonlocal weights, corner
-        a, u, den = stage
+        a, den = stage.A, stage.den
         if weights is None:
             weights = model.float_weights() if den is None else model.integer_weights()[1:]
         p, q = weights
@@ -481,10 +509,9 @@ def read_stages(
             p_arms = [lambda t, pm=pm: pm * (t / n) for pm in p]
         else:  # p(m)*t/n over den is P(m)*(den/n)*t
             p_arms = [(pm * (den // n)).__mul__ for pm in p]
-        gate = _first(map(ge, islice(u, 1, None), islice(a, 1, None)))
         stop = tuple(_least(n, lambda t: arm(t) >= qm * a[t]) for arm, qm in zip(p_arms, q))
         corner = a[0], den
-        return gate, stop
+        return stage.gate, stop
 
     (r_f, *r), stops = zip(*map(read, rows))
     x, den = corner

@@ -390,6 +390,29 @@ def test_config_longer_than_the_cap_exits_1(tmp_path):
             assert "Traceback" not in cp.stderr and cp.stdout == ""
 
 
+def test_config_fifo_with_no_writer_exits_1(tmp_path):
+    # Opened blocking, a FIFO with no writer hung the run before the size
+    # cap could apply.  With no writer the read is an empty config.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    cp = subprocess.run(
+        [sys.executable, "-m", "secquery", "solve", "--config", str(fifo)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert cp.returncode == 1 and cp.stderr.startswith("error:"), cp.stderr[-2000:]
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+def test_config_piped_to_dev_stdin_solves(tmp_path):
+    config = write_config(tmp_path, n=10, K=1, p="0.8")
+    cp = subprocess.run(
+        [sys.executable, "-m", "secquery", "solve", "--config", "/dev/stdin"],
+        input=config.read_text(), capture_output=True, text=True, timeout=60,
+    )
+    assert cp.returncode == 0, cp.stderr[-2000:]
+    assert cp.stdout == run_cli("solve", "--config", str(config)).stdout
+
+
 def test_oversized_solve_is_refused_before_allocating(tmp_path):
     # (2K+3)(n+1) cells of 10**8 x 2 would need several GB; the cap refuses
     # the instance well inside this 1 GiB address-space limit.

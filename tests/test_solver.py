@@ -22,7 +22,7 @@ from secquery import (
     symmetric_binary_model,
 )
 from secquery.cli import tables_to_csv, thresholds_to_json
-from secquery.solver import Stage, _exact_a_row, read_stages
+from secquery.solver import Stage, _exact_a_step, read_stages
 
 RATIONAL = NumericMode.EXACT_RATIONAL
 FLOAT = NumericMode.FLOAT64
@@ -334,18 +334,21 @@ def test_full_tables_are_built_on_the_first_read_only():
 
 
 def test_exact_gate_decides_float_ties_exactly():
-    # U[1] and A[1] differ by 2**-100, below one ulp, so their floats tie;
-    # the gate compares integer numerators and reads the sign exactly.
+    # U = (0, U[1], 2/3, 1) gives A[2] = 1/3 and A[1] = 1/2.  U[1] lies
+    # 2**-100 below, then above, A[1], below one ulp, so their floats tie;
+    # the A step compares integer numerators and reads the sign exactly.
     n, tiny = 3, Fraction(1, 2**100)
     spec = ProblemSpec(n, 0, ResponseModel(1, (1,), (1,)))
-    den = n * 2**100
-    U = tuple(Fraction(t, n) for t in range(n + 1))
+    den = 6 * 2**100
+    a1 = Fraction(1, 2)
     for sign, gate in ((1, 2), (-1, 1)):
-        a1 = U[1] + sign * tiny
+        U = (Fraction(0), a1 - sign * tiny, Fraction(2, 3), Fraction(1))
         assert float(a1) == float(U[1])
-        A = (max(U[1], a1), a1, a1, Fraction(0))
-        stage = Stage(*(tuple(int(x * den) for x in row) for row in (A, U)), den)
-        ts, _ = read_stages(spec, [stage])
+        u = [int(x * den) for x in U]
+        assert _exact_a_step(u) == gate
+        A = (max(U[1], a1), a1, Fraction(1, 3), Fraction(0))
+        assert u == [int(x * den) for x in A]
+        ts, _ = read_stages(spec, [Stage(tuple(u), None, den, gate)])
         assert ts.r_f == gate
         assert ts.success_probability == A[0]
 
@@ -361,20 +364,21 @@ def _fraction_a_row(U):
 
 def test_exact_a_row_refuses_u_minus_a_changing_sign_twice(rng):
     # Solver rows are multiples of L = lcm(1..n) and rise along t, so U - A
-    # changes sign at most once and every division by t is exact.
+    # changes sign at most once and every division by t is exact.  The A
+    # step overwrites its argument with A and returns the gate.
     for _ in range(40):
         n = rng.randint(2, 12)
         L = lcm(*range(1, n + 1))
         u = sorted(rng.randint(0, 3) * L for _ in range(n + 1))
-        before = list(u)
-        a = _exact_a_row(u)
+        a = list(u)
+        gate = _exact_a_step(a)
         assert [Fraction(x, L) for x in a] == _fraction_a_row([Fraction(x, L) for x in u])
-        assert u == before
+        assert gate == min(t for t in range(1, n + 1) if u[t] >= a[t])
     # U = (0, 0, 1, 0, 1) over L = 12: U - A is + at t = 4, - at t = 3 and
     # + at t = 2, and A[1] = 5/8 is not a multiple of 1/12.  The row is
     # refused, not rounded.
     with pytest.raises(ValidationError, match="t=2"):
-        _exact_a_row([0, 0, 12, 0, 12])
+        _exact_a_step([0, 0, 12, 0, 12])
 
 
 def _misreads_are_ties(n, got, want, margin, tol):

@@ -86,6 +86,15 @@ def test_streamed_solve_holds_two_exact_rows(tmp_path):
         assert rows <= bound, (mode, rows)
 
 
+def test_streamed_exact_solve_holds_one_row(tmp_path):
+    # The A step builds A[k] in U[k+1]'s list and the U step U[k] in A[k]'s,
+    # and a streamed exact stage carries no U row.  Holding U[k+1] beside
+    # A[k] read 2.0 rows at n = 1000, K = 10; one list reads about 1.4.
+    _solve_peak_bytes(tmp_path, "float", 30, 3)  # warm-up: imports and caches
+    rows = _solve_peak_bytes(tmp_path, "rational", 1000, 10) / _row_bytes("rational", 1000, 10)
+    assert rows <= 1.6, rows
+
+
 def test_exact_solve_reads_the_integer_weights_once_per_pass(monkeypatch):
     # Each call builds Fractions and an lcm, and every stage of one solve
     # uses the same weights.

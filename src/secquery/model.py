@@ -210,13 +210,11 @@ def parse_config(text: str | bytes, mode: NumericMode = NumericMode.FLOAT64) -> 
 def read_config(path: str | Path, mode: NumericMode = NumericMode.FLOAT64) -> ProblemSpec:
     """parse_config of a file; one longer than MAX_CONFIG_BYTES is refused unparsed.
 
-    The path is opened non-blocking, so a FIFO with no writer does not wait
-    for one: its read returns end of file at once.  The reads then block, so
-    a pipe such as /dev/stdin is read to its end.
+    Opened non-blocking, a FIFO with no writer reads as empty instead of
+    waiting; reads then block, so a pipe on /dev/stdin is read whole.
     """
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    with open(fd, "rb") as f:
-        os.set_blocking(fd, True)
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as f:
+        os.set_blocking(f.fileno(), True)
         raw = f.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
         raise ValidationError(f"config {path} is longer than MAX_CONFIG_BYTES={MAX_CONFIG_BYTES}")

@@ -56,10 +56,9 @@ class Stage(NamedTuple):
 
     Float rows hold the values and ``den`` is None.  Exact rows hold integer
     numerators over the stage's one denominator ``den``, so two cells of a
-    stage compare as integers.  ``gate`` is r_{k+1} (r_f at
-    k = K): the least t >= 1 with U[k+1][t] >= A[k][t].  Float stages and
-    the stages ``compute_tables`` keeps hold U[k+1]; a streamed exact stage
-    holds None there, since the A step builds A[k] in U[k+1]'s list.
+    stage compare as integers.  ``gate`` is r_{k+1} (r_f at k = K), the
+    least t >= 1 with U[k+1][t] >= A[k][t].  U is None in a streamed exact
+    stage, whose A step overwrote it.
     """
 
     A: Row
@@ -197,10 +196,8 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
     MAX_RATIONAL_WORK, are refused with a ValidationError here, before the
     first stage is computed.  Each row is yielded once, as a tuple, and is
     dropped as soon as no later stage reads it: besides the stage the caller
-    holds, an exact solve holds one row, A[k] as the A step builds it in
-    U[k+1]'s list and then U[k] as the U step builds it in A[k]'s, and a
-    float solve the t/n row, A[k], U[k+1] and the row being built.  So an
-    exact stage comes without its U row; a float stage has it.
+    holds, an exact solve holds one row, so its stages carry no U row, and a
+    float solve the t/n row, A[k], U[k+1] and the row being built.
 
     Exact mode evaluates the defining recursion of the module docstring
     as written (see ``_exact_rows``).  The float path rearranges it so every
@@ -264,11 +261,8 @@ def _exact_rows(spec: ProblemSpec, keep_u: bool) -> Iterator[Stage]:
     denominator instead of growing by L*D per stage.  No cell is a Fraction
     until it is read.
 
-    The solve holds one list.  The A step overwrites U[k+1] with A[k] cell by
-    cell and finds the gate as it goes; the U step then overwrites A[k] with
-    U[k].  So once the caller drops a stage, the solve holds one row, and a
-    stage carries no U row: only with keep_u (``compute_tables``) is U[k+1]
-    copied out before the A step overwrites it.
+    The A step overwrites U[k+1] with A[k] and the U step A[k] with U[k], so
+    the solve holds one row; only with keep_u is U[k+1] copied out first.
     """
     n, K = spec.n, spec.K
     D, P, Q = spec.model.integer_weights()
@@ -304,9 +298,8 @@ def _exact_rows(spec: ProblemSpec, keep_u: bool) -> Iterator[Stage]:
 def _exact_a_step(u: list[int]) -> int:
     """Overwrite U[k+1] with A[k] in place, both integer numerators over the stage's den.
 
-    Returns the gate, the least t >= 1 with U[k+1][t] >= A[k][t], compared
-    as integers, so a gap below one float ulp is read exactly.  It exists:
-    at t = n, U >= 0 = A.  Slot t-1 is overwritten only after U[t-1] is read.
+    Returns the gate, the least t >= 1 with U[k+1][t] >= A[k][t], read
+    exactly (at t = n, U >= 0 = A).
 
     The A step is N[t-1] = ((t-1)*N[t] + U[t]) / t where U[t] > N[t], and
     N[t] otherwise; the t = 1 step is a max.  Each U[t] is a multiple of
@@ -363,8 +356,8 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
     equal stage just built is yielded for it and every later k.  Exact
     stages change den every stage and are not checked.
 
-    A float stage keeps U[k+1], which the loop holds anyway, and its gate is
-    scanned from t = 1 over (A[k], U[k+1]) just before the stage is yielded.
+    Each stage keeps U[k+1], which the loop holds anyway, and its gate is
+    scanned from t = 1.
     """
     n, K = spec.n, spec.K
     p, q = spec.model.float_weights()

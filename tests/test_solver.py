@@ -374,6 +374,9 @@ def test_exact_a_row_refuses_u_minus_a_changing_sign_twice(rng):
         gate = _exact_a_step(a)
         assert [Fraction(x, L) for x in a] == _fraction_a_row([Fraction(x, L) for x in u])
         assert gate == min(t for t in range(1, n + 1) if u[t] >= a[t])
+    # A tie opens the gate: U = (0, 0, 6, 18) meets A = (6, 6, 6, 0) at t = 2.
+    a = [0, 0, 6, 18]
+    assert _exact_a_step(a) == 2 and a == [6, 6, 6, 0]
     # U = (0, 0, 1, 0, 1) over L = 12: U - A is + at t = 4, - at t = 3 and
     # + at t = 2, and A[1] = 5/8 is not a multiple of 1/12.  The row is
     # refused, not rounded.

@@ -391,7 +391,7 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
         b = prev[0]
         row[0] = b if b > a else a
         row = tuple(row)
-        gate = _first(map(ge, islice(up, 1, None), islice(row, 1, None)))
+        gate = next(compress(count(1), map(ge, islice(up, 1, None), islice(row, 1, None))))
         if same and row == prev:
             yield from repeat(Stage(row, up, None, gate), k + 1)
             return
@@ -443,11 +443,6 @@ def _float_u_row(
     out[0] = row[0]  # p-terms vanish at t=0, leaving sum_m q(m)*A[k][0]
     new = tuple(out)
     return new, new == up
-
-
-def _first(hits: Iterable[bool]) -> int:
-    """The least t >= 1 whose test holds, given the tests for t = 1, 2, ..."""
-    return next(compress(count(1), hits))
 
 
 def _least(n: int, holds: Callable[[int], bool]) -> int:

@@ -13,6 +13,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import repeat
+from math import factorial
 from pathlib import Path
 from typing import TextIO
 
@@ -53,6 +54,12 @@ TABLE2_K = 10
 
 # Largest --models for verify; the default suite has 4 random models.
 MAX_VERIFY_MODELS = 1000
+# Largest verify run, counted before any enumeration as the branches of its
+# lemma-2 checks: n!·M^n for each random model, n = min(--max-n, 5).  They are
+# most of a model's cost.  On a 2-vCPU VM one branch costs about 12 µs
+# (0.14–0.24 s per model at --max-n 5–7, 0.011–0.018 s at --max-n 4), so the
+# cap is about 25 s: 121 models at --max-n 5 or more, all 1000 at --max-n 4.
+MAX_VERIFY_BRANCHES = 2 * 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,17 +235,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.max_n > MAX_ENUMERATION_N:
         raise BudgetExceeded(f"--max-n {args.max_n} is above MAX_ENUMERATION_N={MAX_ENUMERATION_N}")
+    levels = ([2, 3] * args.models)[: args.models]
+    lemma2_n = min(args.max_n, 5)
+    branches = factorial(lemma2_n) * sum(M**lemma2_n for M in levels)
+    if branches > MAX_VERIFY_BRANCHES:
+        raise BudgetExceeded(
+            f"--max-n {args.max_n} --models {args.models} enumerates {branches} branches,"
+            f" above MAX_VERIFY_BRANCHES={MAX_VERIFY_BRANCHES}"
+        )
     rng = random.Random(args.seed)
-    suite = [random_exact_model(rng, M) for M in ([2, 3] * args.models)[: args.models]]
+    suite = [random_exact_model(rng, M) for M in levels]
     checks: list[dict] = []
 
     for n in range(2, args.max_n + 1):
         checks.extend(_lemma_checks(verify_lemma1(n), f"n={n}"))
 
     for i, model in enumerate(suite):
-        n = min(args.max_n, 5)
-        report = verify_lemma2(n, model)
-        checks.extend(_lemma_checks(report, f"n={n} model#{i}"))
+        report = verify_lemma2(lemma2_n, model)
+        checks.extend(_lemma_checks(report, f"n={lemma2_n} model#{i}"))
 
     mode = NumericMode.EXACT_RATIONAL
     name = "strategy-enumeration-matches-solver"

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "table2.csv"
@@ -490,6 +491,30 @@ def test_verify_model_cap_boundary(monkeypatch, capsys):
     assert cli.main(["verify", "--max-n", "2", "--models", "3"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:") and "MAX_VERIFY_MODELS=2" in out.err
+
+
+def test_oversized_verify_is_refused_at_once(capsys):
+    from secquery import cli
+
+    # About 0.2 s a model at --max-n 7, so minutes of enumeration if it ran.
+    start = time.perf_counter()
+    assert cli.main(["verify", "--max-n", "7", "--models", "1000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "MAX_VERIFY_BRANCHES" in out.err
+
+
+def test_verify_branch_cap_boundary(monkeypatch, capsys):
+    from secquery import cli
+
+    # --max-n 3 --models 2: lemma-2 branches 3!·(2^3 + 3^3) = 210.
+    monkeypatch.setattr(cli, "MAX_VERIFY_BRANCHES", 210)
+    assert cli.main(["verify", "--max-n", "3", "--models", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    monkeypatch.setattr(cli, "MAX_VERIFY_BRANCHES", 209)
+    assert cli.main(["verify", "--max-n", "3", "--models", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "210 branches" in out.err
 
 
 def test_verify_failure_exits_2_with_exact_deviation(monkeypatch, capsys):

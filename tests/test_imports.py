@@ -90,18 +90,21 @@ def test_walkers_do_not_import_each_other():
 
 def test_cli_import_does_not_load_the_process_pool():
     # Importing cli loads no pool module, and neither does a pooled monte_carlo,
-    # whose workers are forked directly.
+    # whose workers are forked directly.  No Monte Carlo run, serial or forked,
+    # loads numpy.random: each block draws from sim's own stream.
     code = (
         "import sys, secquery.cli, secquery.sim as sim\n"
         "from secquery import ProblemSpec, SimConfig, symmetric_binary_model\n"
         "from secquery import compute_tables, extract_thresholds\n"
-        "pool = ('concurrent.futures', 'multiprocessing')\n"
-        "print([m for m in pool if m in sys.modules])\n"
+        "unloaded = ('concurrent.futures', 'multiprocessing', 'numpy.random')\n"
+        "print([m for m in unloaded if m in sys.modules])\n"
         "sim.os.sched_getaffinity = lambda pid: {0, 1}\n"
         "spec = ProblemSpec(20, 3, symmetric_binary_model(0.8))\n"
-        "cfg = SimConfig(trials=2 * sim.BLOCK_TRIALS, seed=5, parallelism=2)\n"
-        "sim.monte_carlo(spec, extract_thresholds(compute_tables(spec)), cfg)\n"
-        "print([m for m in pool if m in sys.modules])\n"
+        "ts = extract_thresholds(compute_tables(spec))\n"
+        "for workers in (2, 1):\n"
+        "    cfg = SimConfig(trials=2 * sim.BLOCK_TRIALS, seed=5, parallelism=workers)\n"
+        "    sim.monte_carlo(spec, ts, cfg)\n"
+        "    print([m for m in unloaded if m in sys.modules])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n[]\n"
+    assert out.stdout == "[]\n[]\n[]\n"

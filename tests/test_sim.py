@@ -28,7 +28,88 @@ from secquery import (
     symmetric_binary_model,
 )
 from secquery import sim
-from secquery.sim import BLOCK_TRIALS, _block_rng, _next_record
+from secquery.sim import BLOCK_TRIALS, GAMMA, _block_rng, _mix64, _next_record
+
+
+def _reference_uniforms(seed, block_index, count):
+    """The block's stream from its definition, in Python ints mod 2**64."""
+
+    def mix64(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        return z ^ z >> 31
+
+    key = mix64((mix64(seed % 2**64) + (block_index + 1) * GAMMA) % 2**64)
+    return [(mix64((key + j * GAMMA) % 2**64) >> 11) * 2**-53 for j in range(count)]
+
+
+def test_mix64_is_splitmix64():
+    # SplitMix64's published first outputs from state 1234567: output i is
+    # mix64(state + i * gamma).
+    z = np.uint64(1234567) + np.arange(1, 6, dtype=np.uint64) * np.uint64(GAMMA)
+    assert _mix64(z).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, block_index, bits",
+    [
+        (0, 0, [0x9043044DFE79A, 0x14E0DBA5E9A32F, 0x16705460BE8829, 0xC63522A9F757E]),
+        (42, 3, [0xB0042C3E590C6, 0x1EE554E56A00F7, 0x9BD49BB9A2D04, 0x7116D0DCB4157]),
+        (-7, 0, [0xDE122BF8C214D, 0x1CC97B152BEE66, 0x1479B4F185EE62, 0x11ACC5615CA0D9]),
+        (2**63 + 11, 1, [0x8E8C6FD7A9DF4, 0x1735AC93023EA9, 0xE860BBA1B288C, 0xBB3C302DC24DF]),
+    ],
+)
+def test_block_stream_known_answers(seed, block_index, bits):
+    # The 53 bits of each of the first uniforms, pinned: any change of the
+    # stream changes every seeded simulate output.
+    u = _block_rng(seed, block_index).random(4)
+    assert u.dtype == np.float64
+    assert [int(x * 2**53) for x in u] == bits
+    # A seed is read mod 2**64.
+    assert _block_rng(seed + 2**64, block_index).random(4).tolist() == u.tolist()
+
+
+def test_block_stream_does_not_depend_on_call_sizes():
+    # The j-th draw is stream value j, across chunk refills and empty calls.
+    sizes = (1, 2, 0, 8188, 1, 3, 20_000, 8192, 0, 5, 16_384)
+    whole = _block_rng(-1, 9).random(sum(sizes))
+    rng = _block_rng(-1, 9)
+    parts = np.concatenate([rng.random(size) for size in sizes])
+    assert parts.tolist() == whole.tolist()
+    assert whole.tolist() == _reference_uniforms(-1, 9, whole.size)
+
+
+def test_block_stream_wraps_without_warnings():
+    # Warnings are errors here (pyproject.toml) and in CI: a wrap-around on a
+    # numpy integer scalar would warn.
+    for seed, block_index in ((2**64 - 1, 0), (-(2**63), 2**40), (2**70 + 3, 2**62)):
+        u = _block_rng(seed, block_index).random(10_000)
+        assert u.tolist()[:3] == _reference_uniforms(seed, block_index, 3)
+        assert 0 <= u.min() and u.max() < 1
+
+
+def test_block_stream_is_uniform():
+    # Chi-square over 64 equal bins; 63 degrees of freedom put P(chi2 > 120) near 1e-5.
+    draws = 1 << 18
+    for seed, block_index in ((0, 0), (12345, 77)):
+        counts = np.bincount((_block_rng(seed, block_index).random(draws) * 64).astype(np.int64), minlength=64)
+        expected = draws / 64
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert counts.size == 64 and chi2 < 120, (seed, block_index, chi2)
+
+
+def test_adjacent_blocks_and_seeds_share_no_values():
+    draws = 1 << 16
+    base = _block_rng(5, 10).random(draws)
+    for seed, block_index in ((5, 11), (5, 9), (6, 10), (4, 10)):
+        other = _block_rng(seed, block_index).random(draws)
+        assert not set(base.tolist()) & set(other.tolist()), (seed, block_index)
+        # |r| of two independent samples has standard deviation 1/sqrt(draws).
+        r = float(np.corrcoef(base, other)[0, 1])
+        assert abs(r) < 5 / math.sqrt(draws), (seed, block_index, r)
 
 
 def test_next_record_tail_law():

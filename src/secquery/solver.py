@@ -28,10 +28,10 @@ The entire optimal strategy compresses into integer thresholds: query k at
 the first record time >= r_k, stop on response m iff the time is >= s_k(m),
 and after all queries stop at the first record time >= r_f.  Stage k alone
 fixes r_{k+1} and s_k (the final stop is stage K+1 of the query rule, so
-stage K fixes r_f).  Each stage carries its gate r_{k+1}, found as the stage
-is built, and ``solve`` reads the rest as ``stages`` yields each stage, in
-O(n) memory; only ``compute_tables`` (``solve --tables``) keeps all 2K+3
-rows.
+stage K fixes r_f).  Each stage carries both, found in its own arithmetic as
+the stage is built, and ``solve`` collects them as ``stages`` yields each
+stage, in O(n) memory; only ``compute_tables`` (``solve --tables``) keeps
+all 2K+3 rows.
 """
 
 from __future__ import annotations
@@ -52,19 +52,22 @@ Row = tuple[Number, ...]
 
 
 class Stage(NamedTuple):
-    """(A[k], U[k+1] or None, den, gate) for one k.
+    """(A[k], U[k+1] or None, den, gate, stop) for one k.
 
     Float rows hold the values and ``den`` is None.  Exact rows hold integer
     numerators over the stage's one denominator ``den``, so two cells of a
     stage compare as integers.  ``gate`` is r_{k+1} (r_f at k = K), the
-    least t >= 1 with U[k+1][t] >= A[k][t].  U is None in a streamed exact
-    stage, whose A step overwrote it.
+    least t >= 1 with U[k+1][t] >= A[k][t].  ``stop`` holds, for each level
+    m, the least t with p(m)*t/n >= q(m)*A[k][t], the test the U step
+    decides each max by; it exists because at t = n, A[k][n] = 0.  U is None
+    in a streamed exact stage, whose A step overwrote it.
     """
 
     A: Row
     U: Row | None
     den: int | None
     gate: int
+    stop: tuple[int, ...]
 
     def value(self, x: Number) -> Number:
         """A cell of this stage as a number: the float, or the Fraction x/den."""
@@ -84,7 +87,8 @@ class Stage(NamedTuple):
 # them all; ``stages`` holds one row at a time in exact mode and four in
 # float mode, so for a streamed solve the cap bounds work, not memory.  Exact
 # work grows with n*K; float work grows with n*K only up to the fixed point
-# of ``_float_rows`` (about 25 stages at p = 9/10), and past it not at all.
+# of ``_float_rows`` (about 25 stages at p = 9/10), and past it only by the
+# M thresholds collected per stage, which the repeated stage found once.
 # On a 2-vCPU VM a float solve of 7*10**6 cells (n = 10**6, K = 2, M = 4),
 # whose rows are 32 MB each, peaks near 0.18 GB streamed and 0.24 GB kept.
 # Past the cap a solve is refused before anything is allocated.
@@ -107,7 +111,7 @@ class ValueTables:
     build one cell, ``A`` and ``U`` every cell on the first read.
     """
 
-    kept: tuple[Stage, ...]  # (A[k], U[k+1], den, gate) for k = 0..K
+    kept: tuple[Stage, ...]  # (A[k], U[k+1], den, gate, stop) for k = 0..K
     spec: ProblemSpec
 
     @cached_property
@@ -255,11 +259,11 @@ def _exact_rows(spec: ProblemSpec, keep_u: bool) -> Iterator[Stage]:
         U[k][t] = (sum(winning P) * t * den/n + sum(winning Q) * N[t]) / (den*D)
 
     each max decided by the integer test P(m)*t*den/n >= Q(m)*N[t], the test
-    ``read_stages`` reads the stop thresholds with.  Once per stage, one gcd
-    of den*D and the U row takes out the row's common factor before L is
-    multiplied back in, so den stays near L times the row's least common
-    denominator instead of growing by L*D per stage.  No cell is a Fraction
-    until it is read.
+    the stage's stop row is read with before the U step overwrites A[k].
+    Once per stage, one gcd of den*D and the U row takes out the row's common
+    factor before L is multiplied back in, so den stays near L times the
+    row's least common denominator instead of growing by L*D per stage.  No
+    cell is a Fraction until it is read.
 
     The A step overwrites U[k+1] with A[k] and the U step A[k] with U[k], so
     the solve holds one row; only with keep_u is U[k+1] copied out first.
@@ -271,10 +275,11 @@ def _exact_rows(spec: ProblemSpec, keep_u: bool) -> Iterator[Stage]:
     for k in range(K, -1, -1):
         up = tuple(u) if keep_u else None
         gate = _exact_a_step(u)  # u holds A[k] from here on
-        yield Stage(tuple(u), up, den, gate)
+        c = den // n  # t/n = t*c/den
+        arms = [(Pm, Pm * c, Qm) for Pm, Qm in zip(P, Q)]
+        stop = tuple(_least(n, lambda t: Pc * t >= Qm * u[t]) for _, Pc, Qm in arms)
+        yield Stage(tuple(u), up, den, gate, stop)
         if k >= 1:
-            c = den // n  # t/n = t*c/den
-            arms = [(Pm, Pm * c, Qm) for Pm, Qm in zip(P, Q)]
             den *= D  # U[k] over den*D, built in A[k]'s list
             for t, x in enumerate(u):
                 sp = sq = 0
@@ -334,12 +339,11 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
     The A step is a recurrence in t and runs cell by cell.  The U step has
     none and runs over stretches of t.  Level m's p-arm wins where d(m) =
     p(m)*t/n - q(m)*A[k][t] > 0, and that test never turns false again along
-    t: t/n never falls and A[k] never rises (see ``read_stages``), and IEEE
-    products and differences are monotone in each operand.  So each level's
-    cut point is bisected, and between cut points the set of winning levels
-    is fixed.  There every cell gets the IEEE operations of a loop over m per
-    cell, in the same m order: t/n * sum(p) where every level wins, else
-    A*sum(q) + e, with e the winning d(m) summed left to right from 0.0.
+    t (``_least``).  So each level's cut point is bisected, and between cut
+    points the set of winning levels is fixed.  There every cell gets the
+    IEEE operations of a loop over m per cell, in the same m order: t/n *
+    sum(p) where every level wins, else A*sum(q) + e, with e the winning d(m)
+    summed left to right from 0.0.
     ``tests/test_table_digests.py`` and ``tests/test_float_kernel.py`` pin
     the resulting bits.
 
@@ -356,8 +360,11 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
     equal stage just built is yielded for it and every later k.  Exact
     stages change den every stage and are not checked.
 
-    Each stage keeps U[k+1], which the loop holds anyway, and its gate is
-    scanned from t = 1.
+    Each stage keeps U[k+1], which the loop holds anyway, its gate is
+    scanned from t = 1, and its stop row is bisected with t/n read from the
+    no-query row, so the stop tests compare the values the recursion used.
+    The repeated stage carries its stop row, so past the fixed point no
+    stage is read again.
     """
     n, K = spec.n, spec.K
     p, q = spec.model.float_weights()
@@ -392,10 +399,11 @@ def _float_rows(spec: ProblemSpec) -> Iterator[Stage]:
         row[0] = b if b > a else a
         row = tuple(row)
         gate = next(compress(count(1), map(ge, islice(up, 1, None), islice(row, 1, None))))
+        stop = tuple(_least(n, lambda t: pm * ratio[t] >= qm * row[t]) for pm, qm in arms)
         if same and row == prev:
-            yield from repeat(Stage(row, up, None, gate), k + 1)
+            yield from repeat(Stage(row, up, None, gate, stop), k + 1)
             return
-        yield Stage(row, up, None, gate)
+        yield Stage(row, up, None, gate, stop)
         prev = row
         if k >= 1:
             up, same = _float_u_row(row, up, ratio, arms, sum_p, sum_q)
@@ -414,15 +422,13 @@ def _float_u_row(
     """U[k] from the float rows A[k] and U[k+1], and whether it equals U[k+1].
 
     Each level's cut point, the least t where its p-arm wins, is bisected
-    (why that is sound is in ``_float_rows``).  Between cut points the
-    winning levels are fixed, so a piece of such a stretch takes one pass
-    per winning level and one for U, and the two ratchets follow per piece,
-    each cell appended to the one new row.
+    (``_least``); it is n+1 where the p-arm never wins.  Between cut points
+    the winning levels are fixed, so a piece of such a stretch takes one
+    pass per winning level and one for U, and the two ratchets follow per
+    piece, each cell appended to the one new row.
     """
-    span = range(len(row))
     cuts = [
-        bisect_left(span, True, key=lambda t: pm * ratio[t] - qm * row[t] > 0.0)
-        for pm, qm in arms
+        _least(len(row) - 1, lambda t: pm * ratio[t] - qm * row[t] > 0.0) for pm, qm in arms
     ]
     out: list[float] = []
     for lo, hi in pairwise(sorted({len(row), *cuts, *range(0, len(row), _PIECE)})):
@@ -446,60 +452,45 @@ def _float_u_row(
 
 
 def _least(n: int, holds: Callable[[int], bool]) -> int:
-    """The least t in 1..n where holds(t), for a test that never turns false again."""
+    """The least t in 1..n where holds(t), for a test that never turns false again; else n+1.
+
+    It serves the stop tests p(m)*t/n >= q(m)*A[k][t] and the float U step's
+    cut points: in both modes A[k] never rises along t (exactly, or in float
+    because the slack A step only adds and the ratchet is a max of such
+    rows) while t/n never falls, and IEEE products and differences are
+    monotone in each operand, so once p(m)'s arm wins it wins at every
+    later t.
+    """
     return bisect_left(range(1, n + 1), True, key=holds) + 1
 
 
 def read_stages(
     spec: ProblemSpec, rows: Iterable[Stage]
 ) -> tuple[ThresholdSet, tuple[tuple[int, ...], ...]]:
-    """The thresholds, read from the stages for k = K..0 as they come.
+    """The thresholds, collected from the stages for k = K..0 as they come.
 
-    Stage k carries its gate r_{k+1} (r_f at k = K), which ``_exact_a_step``
-    or ``_float_rows`` found as the stage was built, and gives one stop row:
-    for each level m the least t with p(m)*t/n >= q(m)*A[k][t].  That row is
+    Stage k carries its gate r_{k+1} (r_f at k = K) and one stop row, both
+    found in the stage's own arithmetic as it was built.  The stop row is
     s_k of the ThresholdSet, the executable rule, which compares against the
     value once the k-th query is charged.  It is also s_{k+1} of the
     pre-query rows returned second, the convention of the published
     reference grid that `table2` reproduces.  On that grid's symmetric models
     the two agree at every reachable time (t >= r_k); on asymmetric models
     they can differ there, and then the pre-query rows lose value (see
-    README).
-
-    Each stage is read in its own arithmetic, which every stage of one
-    solve shares, so the model's weights are read once.  Exact rows
-    compare integer numerators over the stage's den, the stop test as
-    P(m)*t*den/n >= Q(m)*N[t], the test the U step used; only A[0][0]
-    becomes a Fraction.
-    Float rows (den None) compute t/n as the no-query row U[K+1] does, so
-    they too compare the values the recursion used.  Existence at t=n is
-    guaranteed: p(m) >= q(m)*A[.][n] = 0 there.
-
-    A stop test is found by bisection: in both modes A[k] never rises along
-    t (exactly, or in float because the slack A step only adds and the
-    ratchet is a max of such rows) while t/n never falls, so once a stop
-    test holds it holds at every later t.  No U row is read.
+    README).  No row is read but A[0][0], the one cell that becomes a
+    Fraction in exact mode.
 
     The stages are read through map, which, unlike a for loop, holds no
     stage while the next one is built; of each stage only its gate, its stop
     row and, until the next one, its corner A[k][0] are kept.
     """
     n, model = spec.n, spec.model
-    weights = corner = None
+    corner = None
 
     def read(stage: Stage) -> tuple[int, tuple[int, ...]]:
-        nonlocal weights, corner
-        a, den = stage.A, stage.den
-        if weights is None:
-            weights = model.float_weights() if den is None else model.integer_weights()[1:]
-        p, q = weights
-        if den is None:
-            p_arms = [lambda t, pm=pm: pm * (t / n) for pm in p]
-        else:  # p(m)*t/n over den is P(m)*(den/n)*t
-            p_arms = [(pm * (den // n)).__mul__ for pm in p]
-        stop = tuple(_least(n, lambda t: arm(t) >= qm * a[t]) for arm, qm in zip(p_arms, q))
-        corner = a[0], den
-        return stage.gate, stop
+        nonlocal corner
+        corner = stage.A[0], stage.den
+        return stage.gate, stage.stop
 
     (r_f, *r), stops = zip(*map(read, rows))
     x, den = corner

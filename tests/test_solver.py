@@ -348,7 +348,7 @@ def test_exact_gate_decides_float_ties_exactly():
         assert _exact_a_step(u) == gate
         A = (max(U[1], a1), a1, Fraction(1, 3), Fraction(0))
         assert u == [int(x * den) for x in A]
-        ts, _ = read_stages(spec, [Stage(tuple(u), None, den, gate)])
+        ts, _ = read_stages(spec, [Stage(tuple(u), None, den, gate, (2,))])
         assert ts.r_f == gate
         assert ts.success_probability == A[0]
 

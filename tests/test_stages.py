@@ -22,6 +22,7 @@ from secquery import (
     pre_query_stop_thresholds,
     symmetric_binary_model,
 )
+from secquery import solver
 from secquery.cli import main
 from secquery.solver import read_stages, solve, stages
 
@@ -97,7 +98,7 @@ def test_streamed_exact_solve_holds_one_row(tmp_path):
 
 def test_exact_solve_reads_the_integer_weights_once_per_pass(monkeypatch):
     # Each call builds Fractions and an lcm, and every stage of one solve
-    # uses the same weights.
+    # uses the same weights, which only _exact_rows reads.
     calls = []
     integer_weights = ResponseModel.integer_weights
 
@@ -108,4 +109,27 @@ def test_exact_solve_reads_the_integer_weights_once_per_pass(monkeypatch):
     monkeypatch.setattr(ResponseModel, "integer_weights", counted)
     spec = ProblemSpec(100, 10, symmetric_binary_model(Fraction(9, 10)))
     solve(spec, NumericMode.EXACT_RATIONAL)
-    assert len(calls) <= 2  # one in _exact_rows, one in read_stages
+    assert len(calls) == 1
+
+
+def test_float_solve_past_the_fixed_point_reads_each_stage_once(monkeypatch):
+    # At n = 1000, p = 9/10 the stages repeat from about k = K - 25, and the
+    # repeated stage is one object whose stop row was bisected as it was
+    # built.  Bisecting every stage it read, read_stages made 2002 calls at
+    # K = 1000 against 202 at K = 100.
+    calls = 0
+    least = solver._least
+
+    def counted(n, holds):
+        nonlocal calls
+        calls += 1
+        return least(n, holds)
+
+    monkeypatch.setattr(solver, "_least", counted)
+    model = symmetric_binary_model(0.9)
+    counts = []
+    for K in (100, 1000):
+        calls = 0
+        solve(ProblemSpec(1000, K, model))
+        counts.append(calls)
+    assert counts[0] == counts[1], counts

@@ -8,6 +8,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "table2.csv"
 SWEEP_GOLDEN = Path(__file__).parent / "golden" / "sweep.csv"
+VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify.json"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -328,6 +329,14 @@ def test_verify_default_suite_at_max_n5():
     doc = json.loads(cp.stdout)
     assert doc["passed"] is True
     assert any(c["name"] == "uninformative-model-collapses-to-classical" for c in doc["checks"])
+
+
+def test_verify_matches_golden():
+    # Every byte of a seeded report at the default --max-n: the lemma-2 checks
+    # at n = 5 on two M = 2 and two M = 3 models, and every other suite.
+    cp = run_cli("verify", "--max-n", "5", "--models", "4", "--seed", "1")
+    assert cp.returncode == 0, cp.stderr[-2000:]
+    assert cp.stdout == VERIFY_GOLDEN.read_text()
 
 
 def test_verify_rejects_bad_sizes():

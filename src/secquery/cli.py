@@ -55,10 +55,10 @@ TABLE2_K = 10
 # Largest --models for verify; the default suite has 4 random models.
 MAX_VERIFY_MODELS = 1000
 # Largest verify run, counted before any enumeration as the branches of its
-# lemma-2 checks: n!·M^n for each random model, n = min(--max-n, 5).  They are
-# most of a model's cost.  On a 2-vCPU VM one branch costs about 12 µs
-# (0.14–0.24 s per model at --max-n 5–7, 0.011–0.018 s at --max-n 4), so the
-# cap is about 25 s: 121 models at --max-n 5 or more, all 1000 at --max-n 4.
+# lemma-2 checks: n!·M^n for each random model, n = min(--max-n, 5).  They set
+# most of a model's cost.  On a 2-vCPU VM one branch costs about 5 µs
+# (0.07–0.09 s per model at --max-n 5–7, 0.007 s at --max-n 4), so the cap
+# is 11 s or less: 121 models at --max-n 5 or more, all 1000 at --max-n 4.
 MAX_VERIFY_BRANCHES = 2 * 10**6
 
 

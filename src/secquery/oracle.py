@@ -22,7 +22,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
-from typing import Any, Callable, Iterable
+from operator import add
+from typing import Callable, Iterable
 
 from .model import ProblemSpec, ResponseModel
 from .solver import ThresholdSet
@@ -257,31 +258,86 @@ def verify_lemma1(n: int) -> LemmaReport:
     return LemmaReport("lemma1", [prefix_prob, next_rank, joint_now, joint_earlier])
 
 
+def _weigh(counts: list[int], columns: list[list[int]]) -> list[int] | None:
+    """sum_j counts[j]*columns[j], combo by combo; None when every count is 0."""
+    total = None
+    for c, column in zip(counts, columns):
+        if c == 1 and total is None:
+            total = column
+        elif c:
+            scaled = [c * w for w in column]
+            total = scaled if total is None else list(map(add, total, scaled))
+    return total
+
+
+def _combos(
+    suffixes: list[tuple], den: list[list[int]], num: list[list[int]]
+) -> tuple[list[tuple], list[list[int]], list[list[int]], list[int]]:
+    """The keys of a prefix for ``_conditional``, with the ones each j reaches.
+
+    Bit i of reach[j] is set when key i has weight if the j-th query hits.
+    """
+    reach = [sum(1 << i for i, w in enumerate(column) if w) for column in den]
+    return suffixes, den, num, reach
+
+
 def _conditional(
     check: IdentityCheck,
-    rows: Iterable[tuple[Any, int, bool]],
-    expected: Callable[[Any], Fraction | None],
-    describe: Callable[[Any], str],
+    rows: Iterable[tuple[tuple[int, ...], int, bool]],
+    combos: tuple[list[tuple], list[list[int]], list[list[int]], list[int]],
+    expected: Callable[[tuple], Fraction | None],
+    describe: Callable[[tuple], str],
 ) -> None:
     """Check P(event | key) = expected(key) for every key that has weight.
 
-    ``rows`` holds (key, weight, event) with integer weights over one shared
-    denominator, which cancels from each ratio; keys are checked in the order
-    they first appear.  ``expected(key)`` is None for a key that must carry
-    no weight; meeting one is a failed case.
+    ``rows`` holds one (rank prefix, j, event) per permutation, j the index
+    of the query that hit the best (k if none did); a branch's weight
+    depends on the permutation only through j.  So permutations are counted
+    by (prefix, j), c_j in all and e_j with the event.  ``combos`` is
+    (suffixes, den, num, reach) from ``_combos``: key i of a prefix is
+    (prefix, *suffixes[i]) and weighs sum_j c_j*den[j][i], of which
+    sum_j e_j*num[j][i] carries the event.  Weights are integers over one
+    shared denominator, which cancels from each ratio.  ``expected(key)`` is
+    None for a key that must carry no weight; meeting one is a failed case.
+
+    Keys are checked in the order a walk over every (permutation, combo)
+    branch with weight first meets them: at the first row of their prefix
+    whose j gives the combo weight, in ``combos`` order within that row.
+    Keys without weight are never met.  Only counts are kept, one pair of
+    k+1 per prefix, and one prefix's weights at a time.
     """
-    den: dict = {}
-    num: dict = {}
-    for key, w, event in rows:
-        den[key] = den.get(key, 0) + w
+    suffixes, den_columns, num_columns, reach = combos
+    width = len(den_columns)
+    counts: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    firsts = []  # (prefix, j) in the order rows first meet them
+    for prefix, j, event in rows:
+        if (c := counts.get(prefix)) is None:
+            c = counts[prefix] = ([0] * width, [0] * width)
+        if not c[0][j]:
+            firsts.append((prefix, j))
+        c[0][j] += 1
         if event:
-            num[key] = num.get(key, 0) + w
-    for key, d in den.items():
-        want = expected(key)
-        if want is None:
-            check.fail(f"{describe(key)}: expected no weight on this key, got some")
-        else:
-            check.record_ratio(lambda: describe(key), want, num.get(key, 0), d)
+            c[1][j] += 1
+    met = dict.fromkeys(counts, 0)  # bit i: key i of the prefix was checked
+    nothing = [0] * len(suffixes)
+    for prefix, j in firsts:
+        new = reach[j] & ~met[prefix]
+        if not new:
+            continue
+        met[prefix] |= new
+        c, e = counts[prefix]
+        dens = _weigh(c, den_columns)
+        nums = _weigh(e, num_columns) or nothing
+        for suffix, den, num in zip(suffixes, dens, nums):
+            bit, new = new & 1, new >> 1
+            if not bit:
+                continue
+            key = (prefix, *suffix)
+            want = expected(key)
+            if want is None:
+                check.fail(f"{describe(key)}: expected no weight on this key, got some")
+            else:
+                check.record_ratio(lambda: describe(key), want, num, den)
 
 
 def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
@@ -296,14 +352,16 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
 
     For one tuple of k query times every branch weight is an integer over the
     shared denominator n!*D^k, which cancels from each conditional
-    probability, so each is a ratio of integer sums.  The expected values are
-    the paper's formulas with p = P/D and q = Q/D.
+    probability, so each is a ratio of integer sums.  The sums are taken
+    over permutation counts, not branch by branch: see ``_conditional``.
+    The expected values are the paper's formulas with p = P/D and q = Q/D.
     """
     _guard(n)
     nfact = factorial(n)
     M = model.M
-    # The master list for k query times holds up to n!*M^k branches; k = n
-    # is the largest, so refuse before building any.
+    # At k = n query times the checks at t = n meet up to n!*M^n keys (one
+    # per permutation and response combo), the most of any k and t; refuse
+    # before enumerating any.
     if nfact * M**n > MAX_ENUMERATION_STATES:
         raise BudgetExceeded(f"n!*M^n = {nfact * M**n} branches, above MAX_ENUMERATION_STATES")
     data = _enumerate(n)
@@ -316,25 +374,24 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
 
     for k in range(1, n + 1):
         # A response combo's weight depends on the permutation only through
-        # which query (if any) hit the best: weighted[j] lists the nonzero
-        # weights when the j-th did, weighted[k] when none did.
-        weighted = [
-            [
-                (zeta, w)
-                for zeta in itertools.product(range(1, M + 1), repeat=k)
-                if (w := prod(P[m - 1] if i == j else Q[m - 1] for i, m in enumerate(zeta)))
-            ]
+        # which query (if any) hit the best: weights[j][i] is combo i's when
+        # the j-th did, weights[k][i] when none did.
+        zetas = list(itertools.product(range(1, M + 1), repeat=k))
+        weights = [
+            [prod(P[m - 1] if i == j else Q[m - 1] for i, m in enumerate(zeta)) for zeta in zetas]
             for j in range(k + 1)
         ]
+        by_zeta = _combos([(zeta,) for zeta in zetas], weights, weights)
+        # Key (zeta[:-1], m) weighs every last response and its event is m;
+        # in product order the M combos that share zeta[:-1] are adjacent.
+        by_last = _combos(
+            [(zeta[:-1], zeta[-1]) for zeta in zetas],
+            [[sum(w[i - i % M : i - i % M + M]) for i in range(len(w))] for w in weights],
+            weights,
+        )
         for tq in itertools.combinations(range(1, n + 1), k):
             tk = tq[-1]
-            # master list of weighted (perm, response combo) pairs
-            master = [
-                (z, best, zeta, w)
-                for z, best in data
-                for zeta, w in weighted[tq.index(best) if best in tq else k]
-            ]
-            at_tk = [row for row in master if row[0][tk - 1] == 1]
+            hits = [tq.index(best) if best in tq else k for _, best in data]
 
             # P(best = t | ranks to t, responses) at a record is
             # p(m)t / (p(m)t + q(m)(n-t)) for the sample queried at t = tk with
@@ -348,7 +405,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                 ]
                 _conditional(
                     query_posterior if t == tk else cur_posterior,
-                    (((z[:t], zeta), w, best == t) for z, best, zeta, w in master),
+                    ((z[:t], j, best == t) for (z, best), j in zip(data, hits)),
+                    by_zeta,
                     lambda key: posterior[key[1][-1] - 1] if key[0][t - 1] == 1 else zero,
                     lambda key: f"tq={tq} zeta={key[1]}" + (f" t={t}" if t > tk else ""),
                 )
@@ -358,11 +416,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
             marginal = [Fraction(Pm * tk + Qm * (n - tk), D * n) for Pm, Qm in zip(P, Q)]
             _conditional(
                 response_marginal,
-                (
-                    ((z[:tk], zeta[:-1], m), w, zeta[-1] == m)
-                    for z, _, zeta, w in at_tk
-                    for m in range(1, M + 1)
-                ),
+                ((z[:tk], j, True) for (z, _), j in zip(data, hits) if z[tk - 1] == 1),
+                by_last,
                 lambda key: marginal[key[2] - 1],
                 lambda key: f"tq={tq} zeta_prefix={key[1]} m={key[2]}",
             )
@@ -379,7 +434,12 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                 ]
                 _conditional(
                     next_record,
-                    (((z[: t - 1], zeta), w, z[t - 1] == 1) for z, _, zeta, w in at_tk),
+                    (
+                        (z[: t - 1], j, z[t - 1] == 1)
+                        for (z, _), j in zip(data, hits)
+                        if z[tk - 1] == 1
+                    ),
+                    by_zeta,
                     lambda key: corrected[key[1][-1] - 1]
                     if all(key[0][l] > 1 for l in range(tk, t - 1))
                     else uncorrected,

@@ -382,8 +382,9 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
             for j in range(k + 1)
         ]
         by_zeta = _combos([(zeta,) for zeta in zetas], weights, weights)
-        # Key (zeta[:-1], m) weighs every last response and its event is m;
-        # in product order the M combos that share zeta[:-1] are adjacent.
+        # Key (zeta[:-1], m) weighs every last response and its event is the
+        # response m, which every permutation can give; in product order the
+        # M combos that share zeta[:-1] are adjacent.
         by_last = _combos(
             [(zeta[:-1], zeta[-1]) for zeta in zetas],
             [[sum(w[i - i % M : i - i % M + M]) for i in range(len(w))] for w in weights],

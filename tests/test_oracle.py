@@ -2,7 +2,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from helpers import solve
@@ -440,8 +440,6 @@ def _literal_verify_lemma2(n, model):
     query hit instead; both must report the same cases, failures and worst
     deviations.
     """
-    from math import prod
-
     data = oracle._enumerate(n)
     M = model.M
     D, P, Q = model.integer_weights()

@@ -56,9 +56,10 @@ TABLE2_K = 10
 MAX_VERIFY_MODELS = 1000
 # Largest verify run, counted before any enumeration as the branches of its
 # lemma-2 checks: n!·M^n for each random model, n = min(--max-n, 5).  They set
-# most of a model's cost.  On a 2-vCPU VM one branch costs about 5 µs
-# (0.07–0.09 s per model at --max-n 5–7, 0.007 s at --max-n 4), so the cap
-# is 11 s or less: 121 models at --max-n 5 or more, all 1000 at --max-n 4.
+# most of a model's cost.  On a 2-vCPU VM one branch costs about 0.6 µs at
+# n = 5 (0.010–0.013 s per model at --max-n 5–7, 0.0025 s at --max-n 4), so
+# the cap is 3 s or less: 121 models take 1.4–1.6 s at --max-n 5 and
+# 1.8–1.9 s at --max-n 7, all 1000 take 2.6–2.8 s at --max-n 4.
 MAX_VERIFY_BRANCHES = 2 * 10**6
 
 

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from numbers import Rational
 from pathlib import Path
@@ -110,12 +111,17 @@ class ResponseModel:
         """(p, q) as IEEE doubles."""
         return tuple(float(x) for x in self.p), tuple(float(x) for x in self.q)
 
-    def integer_weights(self) -> tuple[int, list[int], list[int]]:
-        """(D, P, Q): the least common denominator D of p and q, P = p*D, Q = q*D."""
+    @cache
+    def integer_weights(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, P, Q): the least common denominator D of p and q, P = p*D, Q = q*D.
+
+        Built once per model: every exact solve and oracle of a ``verify``
+        run reads the same weights.
+        """
         p = [Fraction(x) for x in self.p]
         q = [Fraction(x) for x in self.q]
         D = lcm(*(x.denominator for x in p + q))
-        return D, [int(x * D) for x in p], [int(x * D) for x in q]
+        return D, tuple(int(x * D) for x in p), tuple(int(x * D) for x in q)
 
 
 def symmetric_binary_model(p: Number) -> ResponseModel:

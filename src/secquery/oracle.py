@@ -21,9 +21,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from functools import cache
+from math import factorial
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .model import ProblemSpec, ResponseModel
 from .solver import ThresholdSet
@@ -36,6 +37,11 @@ class BudgetExceeded(RuntimeError):
 # Hard caps so enumeration refuses oversized inputs instead of hanging.
 MAX_ENUMERATION_N = 7
 MAX_ENUMERATION_STATES = 10_000_000
+
+
+def _matches(expected: Fraction, num: int, den: int) -> bool:
+    """num/den == expected, by cross-multiplying integers."""
+    return num * expected.denominator == expected.numerator * den
 
 
 @dataclass
@@ -63,7 +69,7 @@ class IdentityCheck:
         Compares by cross-multiplying integers, so a match builds neither a
         Fraction nor the instance text; a mismatch reports the exact values.
         """
-        if num * expected.denominator == expected.numerator * den:
+        if _matches(expected, num, den):
             self.cases += 1
             return
         actual = Fraction(num, den)
@@ -81,12 +87,15 @@ class LemmaReport:
         return all(c.passed for c in self.checks)
 
 
-def _enumerate(n: int) -> list[tuple[tuple[int, ...], int]]:
+@cache
+def _enumerate(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All permutations of 1..n as (rank stream, best arrival time).
 
     Relative ranks are recomputed here from their definition rather than
     taken from ``policy.relative_ranks``: the oracle is the independent
     reference the strategy code is checked against, so it shares none of it.
+    Built once per n (n <= MAX_ENUMERATION_N): every oracle reads the same
+    tuple, about 0.8 MB at n = 7.
     """
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
@@ -94,7 +103,7 @@ def _enumerate(n: int) -> list[tuple[tuple[int, ...], int]]:
             1 + sum(1 for l in range(i) if perm[l] < perm[i]) for i in range(n)
         )
         out.append((z, perm.index(1) + 1))
-    return out
+    return tuple(out)
 
 
 def _guard(n: int) -> None:
@@ -285,10 +294,11 @@ def _conditional(
     check: IdentityCheck,
     rows: Iterable[tuple[tuple[int, ...], int, bool]],
     combos: tuple[list[tuple], list[list[int]], list[list[int]], list[int]],
-    expected: Callable[[tuple], Fraction | None],
+    classify: Callable[[tuple[int, ...]], bool],
+    expected: Sequence[Sequence[Fraction | None]],
     describe: Callable[[tuple], str],
 ) -> None:
-    """Check P(event | key) = expected(key) for every key that has weight.
+    """Check P(event | key) = expected value for every key that has weight.
 
     ``rows`` holds one (rank prefix, j, event) per permutation, j the index
     of the query that hit the best (k if none did); a branch's weight
@@ -297,14 +307,25 @@ def _conditional(
     (suffixes, den, num, reach) from ``_combos``: key i of a prefix is
     (prefix, *suffixes[i]) and weighs sum_j c_j*den[j][i], of which
     sum_j e_j*num[j][i] carries the event.  Weights are integers over one
-    shared denominator, which cancels from each ratio.  ``expected(key)`` is
-    None for a key that must carry no weight; meeting one is a failed case.
+    shared denominator, which cancels from each ratio.  Key i of a prefix
+    expects ``expected[classify(prefix)][i]``: the formula reads the prefix
+    through one boolean at most.  None marks a key that must carry no
+    weight; meeting one is a failed case.
 
     Keys are checked in the order a walk over every (permutation, combo)
     branch with weight first meets them: at the first row of their prefix
     whose j gives the combo weight, in ``combos`` order within that row.
     Keys without weight are never met.  Only counts are kept, one pair of
     k+1 per prefix, and one prefix's weights at a time.
+
+    Prefixes share their checks.  Every key of a prefix is decided by its
+    class and its counts (c, e), so each such signature is decided once:
+    every key is cross-multiplied as in ``record_ratio`` and the keys that
+    pass are kept as a bitmask.  A row whose newly met keys all pass counts
+    them as cases; one that meets a failing key checks its keys one by one,
+    so failure texts and worst deviations are the branch walk's.  At t = n
+    each prefix is one permutation, so its c is a single 1 and e is c or 0:
+    n! prefixes share 2(k+1) signatures per class.
     """
     suffixes, den_columns, num_columns, reach = combos
     width = len(den_columns)
@@ -319,6 +340,7 @@ def _conditional(
         if event:
             c[1][j] += 1
     met = dict.fromkeys(counts, 0)  # bit i: key i of the prefix was checked
+    passing: dict[tuple, int] = {}  # (class, *c, *e) -> bit i: key i passes
     nothing = [0] * len(suffixes)
     for prefix, j in firsts:
         new = reach[j] & ~met[prefix]
@@ -326,18 +348,30 @@ def _conditional(
             continue
         met[prefix] |= new
         c, e = counts[prefix]
+        cls = classify(prefix)
+        want = expected[cls]
+        signature = (cls, *c, *e)
+        if (ok := passing.get(signature)) is None:
+            weighed = zip(want, _weigh(e, num_columns) or nothing, _weigh(c, den_columns))
+            ok = passing[signature] = sum(
+                1 << i
+                for i, (x, num, den) in enumerate(weighed)
+                if den and x is not None and _matches(x, num, den)
+            )
+        if not new & ~ok:
+            check.cases += new.bit_count()
+            continue
         dens = _weigh(c, den_columns)
         nums = _weigh(e, num_columns) or nothing
-        for suffix, den, num in zip(suffixes, dens, nums):
+        for suffix, den, num, x in zip(suffixes, dens, nums, want):
             bit, new = new & 1, new >> 1
             if not bit:
                 continue
             key = (prefix, *suffix)
-            want = expected(key)
-            if want is None:
+            if x is None:
                 check.fail(f"{describe(key)}: expected no weight on this key, got some")
             else:
-                check.record_ratio(lambda: describe(key), want, num, den)
+                check.record_ratio(lambda: describe(key), x, num, den)
 
 
 def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
@@ -372,14 +406,19 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
     response_marginal = IdentityCheck("response-marginal")
     next_record = IdentityCheck("next-record-probability")
 
+    weights = [[1]]  # the one empty combo, before any query
     for k in range(1, n + 1):
         # A response combo's weight depends on the permutation only through
         # which query (if any) hit the best: weights[j][i] is combo i's when
-        # the j-th did, weights[k][i] when none did.
+        # the j-th did, weights[k][i] when none did.  In product order combo
+        # i*M + m-1 extends combo i of k-1 queries by response m, weighed
+        # P[m-1] if the k-th query hit and Q[m-1] if not.
         zetas = list(itertools.product(range(1, M + 1), repeat=k))
+        *hit, none = weights
         weights = [
-            [prod(P[m - 1] if i == j else Q[m - 1] for i, m in enumerate(zeta)) for zeta in zetas]
-            for j in range(k + 1)
+            *([w * Qm for w in column for Qm in Q] for column in hit),
+            [w * Pm for w in none for Pm in P],
+            [w * Qm for w in none for Qm in Q],
         ]
         by_zeta = _combos([(zeta,) for zeta in zetas], weights, weights)
         # Key (zeta[:-1], m) weighs every last response and its event is the
@@ -390,6 +429,9 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
             [[sum(w[i - i % M : i - i % M + M]) for i in range(len(w))] for w in weights],
             weights,
         )
+        # Every expected value reads a combo's last response, as a level index.
+        last = [zeta[-1] - 1 for zeta in zetas]
+        zeros = [zero] * len(zetas)
         for tq in itertools.combinations(range(1, n + 1), k):
             tk = tq[-1]
             hits = [tq.index(best) if best in tq else k for _, best in data]
@@ -408,7 +450,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                     query_posterior if t == tk else cur_posterior,
                     ((z[:t], j, best == t) for (z, best), j in zip(data, hits)),
                     by_zeta,
-                    lambda key: posterior[key[1][-1] - 1] if key[0][t - 1] == 1 else zero,
+                    lambda prefix: prefix[t - 1] == 1,
+                    (zeros, [posterior[m] for m in last]),
                     lambda key: f"tq={tq} zeta={key[1]}" + (f" t={t}" if t > tk else ""),
                 )
 
@@ -419,7 +462,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                 response_marginal,
                 ((z[:tk], j, True) for (z, _), j in zip(data, hits) if z[tk - 1] == 1),
                 by_last,
-                lambda key: marginal[key[2] - 1],
+                lambda prefix: False,
+                ([marginal[m] for m in last],),
                 lambda key: f"tq={tq} zeta_prefix={key[1]} m={key[2]}",
             )
 
@@ -441,9 +485,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                         if z[tk - 1] == 1
                     ),
                     by_zeta,
-                    lambda key: corrected[key[1][-1] - 1]
-                    if all(key[0][l] > 1 for l in range(tk, t - 1))
-                    else uncorrected,
+                    lambda prefix: all(prefix[l] > 1 for l in range(tk, t - 1)),
+                    ([uncorrected] * len(zetas), [corrected[m] for m in last]),
                     lambda key: f"tq={tq} zeta={key[1]} t={t}",
                 )
     return LemmaReport(

@@ -272,7 +272,7 @@ def test_lemma2_branch_budget(monkeypatch):
     # 7! * 3^7 = 11 022 480 branches: refused up front under the default cap.
     with pytest.raises(BudgetExceeded):
         verify_lemma2(7, THREE)
-    # n=4 with three levels: the k=4 master list holds 4! * 3^4 branches.
+    # n=4 with three levels: four query times give 4! * 3^4 keys at t = n.
     monkeypatch.setattr(oracle, "MAX_ENUMERATION_STATES", 24 * 81)
     assert verify_lemma2(4, THREE).passed
     monkeypatch.setattr(oracle, "MAX_ENUMERATION_STATES", 24 * 81 - 1)
@@ -564,3 +564,27 @@ def test_lemma2_holds_no_list_of_branches():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_lemma2_decides_each_key_class_once(monkeypatch):
+    # The branch walk made one record_ratio call per case; prefixes that share
+    # their class and counts now share one decision, made without that call.
+    calls = 0
+    record_ratio = IdentityCheck.record_ratio
+
+    def counted(self, describe, expected, num, den):
+        nonlocal calls
+        calls += 1
+        record_ratio(self, describe, expected, num, den)
+
+    monkeypatch.setattr(IdentityCheck, "record_ratio", counted)
+    report = verify_lemma2(5, THREE)
+    assert report.passed
+    assert sum(c.cases for c in report.checks) == 150_909
+    assert calls < 150_909 // 100, calls
+
+
+def test_enumeration_is_built_once_per_n():
+    first = oracle._enumerate(4)
+    assert type(first) is tuple and len(first) == 24
+    assert oracle._enumerate(4) is first

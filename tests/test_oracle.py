@@ -568,7 +568,7 @@ def test_lemma2_holds_no_list_of_branches():
 
 def test_lemma2_decides_each_key_class_once(monkeypatch):
     # The branch walk made one record_ratio call per case; prefixes that share
-    # their class and counts now share one decision, made without that call.
+    # their class and counts share one decision, made without that call.
     calls = 0
     record_ratio = IdentityCheck.record_ratio
 

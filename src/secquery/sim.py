@@ -26,6 +26,13 @@ thresholds, runs its share of the blocks and stores two integers in its slot
 of a shared page, which the parent reads only after the child has exited 0.
 Nothing is pickled, and neither a pool module nor numpy.random is imported.
 
+numpy is imported with OPENBLAS_NUM_THREADS=1 unless the caller has set that
+variable or imported numpy already, and the caller's environment is restored
+right after.  No command calls a BLAS routine, yet OpenBLAS would otherwise
+start a worker thread whose start-up spin takes CPU from the main thread on a
+busy machine, and every command would fork its ``simulate`` workers from a
+process with two threads instead of one.
+
 The walk shares no code with the other two walkers of a ``ThresholdSet``
 (``policy.run_strategy`` and ``oracle.exact_success_probability``) and imports
 neither; thresholds that do not fit the spec are refused by
@@ -37,11 +44,19 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
 
-import numpy as np
+if "OPENBLAS_NUM_THREADS" in os.environ or "numpy" in sys.modules:
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when OpenBLAS loads
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .model import ProblemSpec, ValidationError
 from .solver import ThresholdSet
@@ -212,9 +227,11 @@ def _fork_workers(
     child that exits nonzero or is killed by a signal.  A slot is read only
     once every child has exited 0.
 
-    Forking is safe only while the caller has one thread.  numpy's OpenBLAS
-    pool stops its threads in its own fork handler; a caller that runs
-    threads of its own gets Python's fork warning (3.12+).
+    Forking is safe only while the caller has one thread.  As imported by
+    this module, numpy starts no OpenBLAS thread, so a command forks from a
+    process with one thread.  A caller that imported numpy first or asked for
+    BLAS threads relies on OpenBLAS stopping its pool in its own fork handler;
+    a caller that runs threads of its own gets Python's fork warning (3.12+).
     """
     import mmap  # only a forked run needs it
 

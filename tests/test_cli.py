@@ -27,7 +27,6 @@ def run_cli_in_1gib(*args: str, timeout: float = 60) -> subprocess.CompletedProc
     return subprocess.run(
         [sys.executable, "-m", "secquery", *args],
         capture_output=True, text=True, timeout=timeout, preexec_fn=limit_address_space,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
 
 
@@ -564,3 +563,29 @@ def test_oversized_rational_solve_is_refused_at_once(tmp_path):
         assert cp.returncode == 1, (args, cp.stderr[-2000:])
         assert cp.stderr.startswith("error:") and "MAX_RATIONAL_WORK" in cp.stderr, args
         assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+def test_only_the_process_entry_freezes_the_collector():
+    # `python -m secquery` freezes the objects its imports made; importing the
+    # package or calling cli.main in process leaves the caller's collector alone.
+    in_process = (
+        "import contextlib, gc, io, secquery\n"
+        "from secquery import cli\n"
+        "before = gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['sweep', '--n', '10', '--k-range', '0:1', '--p-values', '0.9'])\n"
+        "print(before, code, gc.get_freeze_count())\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", in_process], capture_output=True, text=True)
+    assert cp.stdout == "0 0 0\n", cp.stderr[-2000:]
+    entry = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['secquery', 'sweep', '--n', '10', '--k-range', '0:1', '--p-values', '0.9']\n"
+        "runpy.run_module('secquery', run_name='__main__', alter_sys=True)\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", entry], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr[-2000:]
+    assert cp.stdout == run_cli("sweep", "--n", "10", "--k-range", "0:1", "--p-values", "0.9").stdout
+    label, count = cp.stderr.split()
+    assert label == "frozen" and int(count) > 0

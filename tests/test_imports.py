@@ -2,9 +2,12 @@
 strategy walkers (policy, sim, oracle) do not import one another."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,3 +111,26 @@ def test_cli_import_does_not_load_the_process_pool():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n[]\n[]\n"
+
+
+@pytest.mark.parametrize("setting", [None, "3"])
+def test_import_starts_no_blas_thread(setting):
+    # No command calls a BLAS routine, so sim imports numpy with one OpenBLAS
+    # thread and then restores the environment; a caller's setting wins.
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    code = (
+        "import os, secquery\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    cp = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    threads, value = cp.stdout.split()
+    if setting is None:
+        assert (threads, value) == ("1", "None")
+    else:
+        assert value == setting

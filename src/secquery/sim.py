@@ -30,8 +30,8 @@ numpy is imported with OPENBLAS_NUM_THREADS=1 unless the caller has set that
 variable or imported numpy already, and the caller's environment is restored
 right after.  No command calls a BLAS routine, yet OpenBLAS would otherwise
 start a worker thread whose start-up spin takes CPU from the main thread on a
-busy machine, and every command would fork its ``simulate`` workers from a
-process with two threads instead of one.
+busy machine, and ``simulate`` would fork its workers from a process with two
+threads instead of one.
 
 The walk shares no code with the other two walkers of a ``ThresholdSet``
 (``policy.run_strategy`` and ``oracle.exact_success_probability``) and imports

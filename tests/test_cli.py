@@ -6,9 +6,12 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "golden" / "table2.csv"
 SWEEP_GOLDEN = Path(__file__).parent / "golden" / "sweep.csv"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify.json"
+SIMULATE_GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -307,6 +310,44 @@ def test_simulate_zero_trials_is_usage_error(tmp_path):
     config = write_config(tmp_path, n=10, K=1, p="0.8")
     cp = run_cli("simulate", "--config", str(config), "--trials", "0")
     assert cp.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "golden, config, trials, seed, workers",
+    [
+        # The CI and benchmark config: 13 blocks, the last of 1696 trials.
+        (
+            "simulate_n1000.json",
+            {"n": 1000, "K": 10, "M": 2, "p": ["9/10", "1/10"], "q": ["1/10", "9/10"]},
+            100_000, 42, (1, 2),
+        ),
+        # An asymmetric dyadic model with three response levels.
+        (
+            "simulate_m3.json",
+            {"n": 200, "K": 4, "M": 3, "p": ["1/8", "1/4", "5/8"], "q": ["1/2", "3/8", "1/8"]},
+            20_000, 7, (1,),
+        ),
+        # No queries, a one-trial last block and a negative seed.
+        (
+            "simulate_k0.json",
+            {"n": 50, "K": 0, "M": 2, "p": ["3/4", "1/4"], "q": ["1/4", "3/4"]},
+            8193, -1, (1,),
+        ),
+    ],
+    ids=["n1000", "m3", "k0"],
+)
+def test_simulate_matches_golden(tmp_path, golden, config, trials, seed, workers):
+    # Every byte of a seeded run: a walk that reads its uniforms in another
+    # order changes these outputs.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for w in workers:
+        cp = run_cli(
+            "simulate", "--config", str(path), "--trials", str(trials), "--seed", str(seed),
+            "--parallelism", str(w),
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == (SIMULATE_GOLDEN_DIR / golden).read_text(), w
 
 
 def test_verify_default_suite_passes():

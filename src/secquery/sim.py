@@ -47,7 +47,7 @@ import struct
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 if "OPENBLAS_NUM_THREADS" in os.environ or "numpy" in sys.modules:
     import numpy as np
@@ -74,9 +74,6 @@ MAX_TRIALS = 10**9
 # numpy warns when an integer scalar overflows, and it promotes a Python int
 # operand differently in numpy 1 and 2.  Scalars are reduced mod 2**64 as ints.
 GAMMA = 0x9E3779B97F4A7C15
-# Least number of uniforms a stream makes at once: enough that numpy's
-# per-call cost is small against the per-value cost.
-_CHUNK = 8192
 
 # A forked worker's (successes, queries), stored in its slot of the shared page.
 _SLOT = struct.Struct("=QQ")
@@ -115,44 +112,25 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-@cache
-def _steps() -> np.ndarray:
-    """j * gamma for j < _CHUNK, read-only.  Made on first use: making it at
-    import raised the peak RSS of every command by about 0.2 MB."""
-    steps = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(GAMMA)
-    steps.flags.writeable = False
-    return steps
-
-
 class _Stream:
     """The uniforms u_0, u_1, ... of one block, served through ``random(size)``.
 
-    Values are made in whole chunks of ``_CHUNK``.  A call is served from the
-    rest of the current chunk and, when that runs short, from the chunks that
-    follow it, so the j-th value served is u_j however the calls are sized.
-    A call may return a view of a chunk; no value in it is served again.
+    Each u_j is computed from j, so a call returns the next ``size`` values
+    and the j-th value served is u_j however the calls are sized.
     """
 
     def __init__(self, key: int) -> None:
         self._key = key
-        self._made = 0  # values made so far: the next chunk starts at u_made
-        self._chunk = np.empty(0)
-        self._used = 0
+        self._made = 0  # values drawn so far: the next call starts at u_made
 
     def random(self, size: int) -> np.ndarray:
-        rest = self._chunk[self._used :]
-        if size <= rest.size:
-            self._used += size
-            return rest[:size]
-        need = size - rest.size
-        starts = range(self._made, self._made + need, _CHUNK)
-        bases = np.array([(self._key + j * GAMMA) % 2**64 for j in starts], dtype=np.uint64)
-        z = (bases[:, None] + _steps()).ravel()  # key + j * gamma for each j made now
+        z = np.arange(self._made, self._made + size, dtype=np.uint64)
+        z *= np.uint64(GAMMA)
+        z += np.uint64(self._key)  # key + j * gamma for each j drawn now
         _mix64(z)
         z >>= np.uint64(11)
-        self._chunk, self._used = z * 2.0**-53, need
-        self._made += z.size
-        return np.concatenate((rest, self._chunk[:need]))
+        self._made += size
+        return z * 2.0**-53
 
 
 def _block_rng(seed: int, block_index: int) -> _Stream:
@@ -208,7 +186,8 @@ def _simulate_block(
         # about times at or past the gate, so the candidate is a fresh draw.
         cand = after[~stop]
         early = cand < gate[k]
-        cand[early] = _next_record(rng, np.full(int(np.count_nonzero(early)), gate[k] - 1), n)
+        if early.any():  # a call costs a dozen numpy calls even when it draws nothing
+            cand[early] = _next_record(rng, np.full(int(np.count_nonzero(early)), gate[k] - 1), n)
     return successes, queries
 
 

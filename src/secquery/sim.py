@@ -63,8 +63,8 @@ from .solver import ThresholdSet
 
 BLOCK_TRIALS = 8192
 
-# Largest trial count a run accepts: about 4–6 minutes on one core, which runs
-# 2.9–4.3·10⁶ trials/s at n = 1000, K = 10, p = 9/10 on a 2-vCPU VM.  The block
+# Largest trial count a run accepts: about 3–6 minutes on one core, which runs
+# 2.7–5.5·10⁶ trials/s at n = 1000, K = 10, p = 9/10 on a 2-vCPU VM.  The block
 # list is built up front, so a far larger count would run out of memory
 # before the first block.
 MAX_TRIALS = 10**9

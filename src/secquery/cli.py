@@ -292,16 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute thresholds for a config")
+    solve.set_defaults(run=_cmd_solve)
     solve.add_argument("--config", required=True)
     solve.add_argument("--mode", type=NumericMode, default=NumericMode.FLOAT64)
     solve.add_argument("--tables", help="also write full value tables as CSV")
     solve.add_argument("--out")
 
     table2 = sub.add_parser("table2", help="reproduce the reference threshold grid")
+    table2.set_defaults(run=_cmd_table2)
     table2.add_argument("--mode", type=NumericMode, default=NumericMode.FLOAT64)
     table2.add_argument("--out")
 
     sweep = sub.add_parser("sweep", help="success probability over a (p, K) grid")
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--k-range", default="0:10")
     sweep.add_argument("--p-values", required=True, help="comma-separated reliabilities")
@@ -309,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo check of the solved strategy")
+    simulate.set_defaults(run=_cmd_simulate)
     simulate.add_argument("--config", required=True)
     simulate.add_argument("--trials", type=int, default=100_000)
     simulate.add_argument("--seed", type=int, default=0)
@@ -317,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out")
 
     verify = sub.add_parser("verify", help="run the exact verification suite")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--max-n", type=int, default=5)
     verify.add_argument("--models", type=int, default=4)
     verify.add_argument("--seed", type=int, default=7)
@@ -324,20 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "table2": _cmd_table2,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from numbers import Rational
 from pathlib import Path
@@ -111,17 +110,20 @@ class ResponseModel:
         """(p, q) as IEEE doubles."""
         return tuple(float(x) for x in self.p), tuple(float(x) for x in self.q)
 
-    @cache
     def integer_weights(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D, P, Q): the least common denominator D of p and q, P = p*D, Q = q*D.
 
-        Built once per model: every exact solve and oracle of a ``verify``
-        run reads the same weights.
+        Built once per model and kept on it, so they go when the model goes:
+        every exact solve and oracle of a ``verify`` run reads the same weights.
         """
-        p = [Fraction(x) for x in self.p]
-        q = [Fraction(x) for x in self.q]
-        D = lcm(*(x.denominator for x in p + q))
-        return D, tuple(int(x * D) for x in p), tuple(int(x * D) for x in q)
+        weights = vars(self).get("_integer_weights")
+        if weights is None:
+            p = [Fraction(x) for x in self.p]
+            q = [Fraction(x) for x in self.q]
+            D = lcm(*(x.denominator for x in p + q))
+            weights = D, tuple(int(x * D) for x in p), tuple(int(x * D) for x in q)
+            object.__setattr__(self, "_integer_weights", weights)
+        return weights
 
 
 def symmetric_binary_model(p: Number) -> ResponseModel:

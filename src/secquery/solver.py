@@ -96,10 +96,10 @@ MAX_TABLE_CELLS = 10_000_000
 
 # Largest exact-rational solve, counted as table cells times n.  Exact values
 # carry denominators of thousands of bits, so the cost of a row grows faster
-# than n**2: on a 2-vCPU VM n = 1000, K = 10 (2.3e7) takes about 0.2 s,
-# n = 4000, K = 2 (1.1e8) 0.8 s and n = K = 390 (1.2e8) 1.6 s.  Doubling n
-# costs about 6x (n = 8000, K = 2 takes 5 s), so n = 20000, K = 2 (2.8e9)
-# would run for about a minute.  Float solves are not bound by it.
+# than n**2: on a 2-vCPU VM n = 1000, K = 10 (2.3e7) takes about 0.13 s,
+# n = 4000, K = 2 (1.1e8) 0.5 s and n = K = 390 (1.2e8) 1.0 s.  Doubling n
+# costs about 6.5x (n = 8000, K = 2 takes 3.1 s), so n = 20000, K = 2 (2.8e9)
+# would run for over half a minute.  Float solves are not bound by it.
 MAX_RATIONAL_WORK = 120_000_000
 
 
@@ -258,12 +258,14 @@ def _exact_rows(spec: ProblemSpec, keep_u: bool) -> Iterator[Stage]:
 
         U[k][t] = (sum(winning P) * t * den/n + sum(winning Q) * N[t]) / (den*D)
 
-    each max decided by the integer test P(m)*t*den/n >= Q(m)*N[t], the test
-    the stage's stop row is read with before the U step overwrites A[k].
-    Once per stage, one gcd of den*D and the U row takes out the row's common
-    factor before L is multiplied back in, so den stays near L times the
-    row's least common denominator instead of growing by L*D per stage.  No
-    cell is a Fraction until it is read.
+    Level m's p-arm wins from t = stop[m] on, the stage's stop row, bisected
+    with the integer test P(m)*t*den/n >= Q(m)*N[t] (``_least``).  So both
+    sums are fixed between stop row entries, and at t = 0, where every p-arm
+    is 0, the cell is sum(Q) * N[0] whichever arm wins.  Once per stage, one
+    gcd of den*D and the U row takes out the row's common factor before L is
+    multiplied back in, so den stays near L times the row's least common
+    denominator instead of growing by L*D per stage.  No cell is a Fraction
+    until it is read.
 
     The A step overwrites U[k+1] with A[k] and the U step A[k] with U[k], so
     the solve holds one row; only with keep_u is U[k+1] copied out first.
@@ -276,19 +278,15 @@ def _exact_rows(spec: ProblemSpec, keep_u: bool) -> Iterator[Stage]:
         up = tuple(u) if keep_u else None
         gate = _exact_a_step(u)  # u holds A[k] from here on
         c = den // n  # t/n = t*c/den
-        arms = [(Pm, Pm * c, Qm) for Pm, Qm in zip(P, Q)]
-        stop = tuple(_least(n, lambda t: Pc * t >= Qm * u[t]) for _, Pc, Qm in arms)
+        stop = tuple(_least(n, lambda t: Pm * c * t >= Qm * u[t]) for Pm, Qm in zip(P, Q))
         yield Stage(tuple(u), up, den, gate, stop)
         if k >= 1:
             den *= D  # U[k] over den*D, built in A[k]'s list
-            for t, x in enumerate(u):
-                sp = sq = 0
-                for Pm, Pc, Qm in arms:
-                    if Pc * t >= Qm * x:  # p(m)*t/n >= q(m)*A[k][t]
-                        sp += Pm
-                    else:
-                        sq += Qm
-                u[t] = sp * t * c + sq * x
+            for lo, hi in pairwise(sorted({0, n + 1, *stop})):
+                pc = c * sum(Pm for Pm, s in zip(P, stop) if s <= lo)
+                sq = sum(Qm for Qm, s in zip(Q, stop) if s > lo)
+                for t in range(lo, hi):
+                    u[t] = pc * t + sq * u[t]
             # Divide out the row's common factor g and scale by L in one
             # step: x*L/g = x//(g/h) * (L/h) with h = gcd(g, L).  Mostly g
             # divides L, and the step is one product by the short L/g.
@@ -454,12 +452,12 @@ def _float_u_row(
 def _least(n: int, holds: Callable[[int], bool]) -> int:
     """The least t in 1..n where holds(t), for a test that never turns false again; else n+1.
 
-    It serves the stop tests p(m)*t/n >= q(m)*A[k][t] and the float U step's
-    cut points: in both modes A[k] never rises along t (exactly, or in float
-    because the slack A step only adds and the ratchet is a max of such
-    rows) while t/n never falls, and IEEE products and differences are
-    monotone in each operand, so once p(m)'s arm wins it wins at every
-    later t.
+    It serves the stop tests p(m)*t/n >= q(m)*A[k][t], whose rows the exact
+    U step also runs on, and the float U step's cut points: in both modes
+    A[k] never rises along t (exactly, or in float because the slack A step
+    only adds and the ratchet is a max of such rows) while t/n never falls,
+    and IEEE products and differences are monotone in each operand, so once
+    p(m)'s arm wins it wins at every later t.
     """
     return bisect_left(range(1, n + 1), True, key=holds) + 1
 

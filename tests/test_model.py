@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from secquery import (
     symmetric_binary_model,
 )
 from secquery.model import MAX_LITERAL_EXPONENT, parse_prob
+from secquery.solver import solve
 
 
 def test_validate_infallible_model():
@@ -57,6 +60,19 @@ def test_validate_rejects_empty_model():
 def test_inert_levels_are_legal():
     m = ResponseModel(3, (Fraction(1), 0, 0), (0, 0, Fraction(1)))
     assert m.p[1] == m.q[1] == 0
+
+
+def test_integer_weights_are_kept_on_the_model_not_past_it():
+    # A process-wide cache keyed by the model would keep every model ever
+    # solved exactly alive.
+    p, q = (tuple(map(Fraction, v)) for v in (("1/8", "1/4", "5/8"), ("1/2", "3/8", "1/8")))
+    m = ResponseModel(3, p, q)
+    assert m.integer_weights() is m.integer_weights() == (8, (1, 2, 5), (4, 3, 1))
+    solve(ProblemSpec(20, 2, m), NumericMode.EXACT_RATIONAL)
+    alive = weakref.ref(m)
+    del m
+    gc.collect()
+    assert alive() is None
 
 
 def test_symmetric_binary_model():

@@ -334,9 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BudgetExceeded) else 1

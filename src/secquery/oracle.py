@@ -280,23 +280,23 @@ def _weigh(counts: list[int], columns: list[list[int]]) -> list[int] | None:
 
 
 def _combos(
-    suffixes: list[tuple], den: list[list[int]], num: list[list[int]]
-) -> tuple[list[tuple], list[list[int]], list[list[int]], list[int]]:
+    den: list[list[int]], num: list[list[int]]
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """The keys of a prefix for ``_conditional``, with the ones each j reaches.
 
     Bit i of reach[j] is set when key i has weight if the j-th query hits.
     """
     reach = [sum(1 << i for i, w in enumerate(column) if w) for column in den]
-    return suffixes, den, num, reach
+    return den, num, reach
 
 
 def _conditional(
     check: IdentityCheck,
     rows: Iterable[tuple[tuple[int, ...], int, bool]],
-    combos: tuple[list[tuple], list[list[int]], list[list[int]], list[int]],
+    combos: tuple[list[list[int]], list[list[int]], list[int]],
     classify: Callable[[tuple[int, ...]], bool],
     expected: Sequence[Sequence[Fraction | None]],
-    describe: Callable[[tuple], str],
+    describe: Callable[[int], str],
 ) -> None:
     """Check P(event | key) = expected value for every key that has weight.
 
@@ -304,30 +304,30 @@ def _conditional(
     of the query that hit the best (k if none did); a branch's weight
     depends on the permutation only through j.  So permutations are counted
     by (prefix, j), c_j in all and e_j with the event.  ``combos`` is
-    (suffixes, den, num, reach) from ``_combos``: key i of a prefix is
-    (prefix, *suffixes[i]) and weighs sum_j c_j*den[j][i], of which
-    sum_j e_j*num[j][i] carries the event.  Weights are integers over one
-    shared denominator, which cancels from each ratio.  Key i of a prefix
-    expects ``expected[classify(prefix)][i]``: the formula reads the prefix
-    through one boolean at most.  None marks a key that must carry no
-    weight; meeting one is a failed case.
+    (den, num, reach) from ``_combos``: a key is (prefix, i), i a combo
+    index, and weighs sum_j c_j*den[j][i], of which sum_j e_j*num[j][i]
+    carries the event; ``describe(i)`` names it in a failure text.  Weights
+    are integers over one shared denominator, which cancels from each ratio.
+    Key (prefix, i) expects ``expected[classify(prefix)][i]``: the formula
+    reads the prefix through one boolean at most.  None marks a key that
+    must carry no weight; meeting one is a failed case.
 
     Keys are checked in the order a walk over every (permutation, combo)
     branch with weight first meets them: at the first row of their prefix
-    whose j gives the combo weight, in ``combos`` order within that row.
-    Keys without weight are never met.  Only counts are kept, one pair of
-    k+1 per prefix, and one prefix's weights at a time.
+    whose j gives the combo weight, in combo order within that row.  Keys
+    without weight are never met.  Only counts are kept, one pair of k+1
+    per prefix, and one prefix's weights at a time.
 
     Prefixes share their checks.  Every key of a prefix is decided by its
     class and its counts (c, e), so each such signature is decided once:
     every key is cross-multiplied as in ``record_ratio`` and the keys that
-    pass are kept as a bitmask.  A row whose newly met keys all pass counts
-    them as cases; one that meets a failing key checks its keys one by one,
-    so failure texts and worst deviations are the branch walk's.  At t = n
-    each prefix is one permutation, so its c is a single 1 and e is c or 0:
-    n! prefixes share 2(k+1) signatures per class.
+    pass are kept as a bitmask.  A row counts the newly met keys that pass
+    as cases and reports only its failing keys, one by one, so failure
+    texts and worst deviations are the branch walk's.  At t = n each prefix
+    is one permutation, so its c is a single 1 and e is c or 0: n! prefixes
+    share 2(k+1) signatures per class.
     """
-    suffixes, den_columns, num_columns, reach = combos
+    den_columns, num_columns, reach = combos
     width = len(den_columns)
     counts: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     firsts = []  # (prefix, j) in the order rows first meet them
@@ -341,7 +341,7 @@ def _conditional(
             c[1][j] += 1
     met = dict.fromkeys(counts, 0)  # bit i: key i of the prefix was checked
     passing: dict[tuple, int] = {}  # (class, *c, *e) -> bit i: key i passes
-    nothing = [0] * len(suffixes)
+    nothing = [0] * len(den_columns[0])
     for prefix, j in firsts:
         new = reach[j] & ~met[prefix]
         if not new:
@@ -358,20 +358,18 @@ def _conditional(
                 for i, (x, num, den) in enumerate(weighed)
                 if den and x is not None and _matches(x, num, den)
             )
-        if not new & ~ok:
-            check.cases += new.bit_count()
+        check.cases += (new & ok).bit_count()
+        if not (failing := new & ~ok):
             continue
         dens = _weigh(c, den_columns)
         nums = _weigh(e, num_columns) or nothing
-        for suffix, den, num, x in zip(suffixes, dens, nums, want):
-            bit, new = new & 1, new >> 1
-            if not bit:
+        for i in range(failing.bit_length()):
+            if not failing >> i & 1:
                 continue
-            key = (prefix, *suffix)
-            if x is None:
-                check.fail(f"{describe(key)}: expected no weight on this key, got some")
+            if want[i] is None:
+                check.fail(f"{describe(i)}: expected no weight on this key, got some")
             else:
-                check.record_ratio(lambda: describe(key), x, num, den)
+                check.record_ratio(lambda: describe(i), want[i], nums[i], dens[i])
 
 
 def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
@@ -420,12 +418,11 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
             [w * Pm for w in none for Pm in P],
             [w * Qm for w in none for Qm in Q],
         ]
-        by_zeta = _combos([(zeta,) for zeta in zetas], weights, weights)
+        by_zeta = _combos(weights, weights)
         # Key (zeta[:-1], m) weighs every last response and its event is the
         # response m, which every permutation can give; in product order the
         # M combos that share zeta[:-1] are adjacent.
         by_last = _combos(
-            [(zeta[:-1], zeta[-1]) for zeta in zetas],
             [[sum(w[i - i % M : i - i % M + M]) for i in range(len(w))] for w in weights],
             weights,
         )
@@ -452,7 +449,7 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                     by_zeta,
                     lambda prefix: prefix[t - 1] == 1,
                     (zeros, [posterior[m] for m in last]),
-                    lambda key: f"tq={tq} zeta={key[1]}" + (f" t={t}" if t > tk else ""),
+                    lambda i: f"tq={tq} zeta={zetas[i]}" + (f" t={t}" if t > tk else ""),
                 )
 
             # P(response m | record at tk, ranks, earlier responses)
@@ -464,7 +461,7 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                 by_last,
                 lambda prefix: False,
                 ([marginal[m] for m in last],),
-                lambda key: f"tq={tq} zeta_prefix={key[1]} m={key[2]}",
+                lambda i: f"tq={tq} zeta_prefix={zetas[i][:-1]} m={zetas[i][-1]}",
             )
 
             # P(z_t = 1 | record at tk, ranks to t-1, responses) is 1/t unless
@@ -487,7 +484,7 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                     by_zeta,
                     lambda prefix: all(prefix[l] > 1 for l in range(tk, t - 1)),
                     ([uncorrected] * len(zetas), [corrected[m] for m in last]),
-                    lambda key: f"tq={tq} zeta={key[1]} t={t}",
+                    lambda i: f"tq={tq} zeta={zetas[i]} t={t}",
                 )
     return LemmaReport(
         "lemma2", [cur_posterior, query_posterior, response_marginal, next_record]

@@ -122,7 +122,7 @@ def run_strategy(thresholds: ThresholdSet, stream: RankStream, genie: Genie) -> 
             selected = t
             break
         level = genie(t, t == best_time)
-        if not (1 <= level <= M):
+        if level not in range(1, M + 1):
             raise ValueError(f"genie response {level} outside 1..{M}")
         queries.append((t, level))
         if t >= thresholds.s[k - 1][level - 1]:

@@ -209,11 +209,13 @@ def stages(spec: ProblemSpec, mode: NumericMode = NumericMode.FLOAT64) -> Iterat
     uses the slack form A[k][t] + (U[k+1][t]-A[k][t])_+/t (bit-flat plateaus,
     stable extraction ties), the U step collapses to t/n * sum(p) where every
     max picks its p-arm, and each finished row is max-ratcheted against its
-    neighbors (one more query spent; U >= A and U >= t/n).  All three are
-    float-only: on the true values they change nothing.  The float U step
-    runs over the stretches of t where the winning levels are fixed, and
-    once a float stage repeats the one before it, that stage is yielded for
-    every later k (``_float_rows`` gives both arguments).
+    neighbors: A[k] against A[k+1], one more query spent, and U[k] against
+    A[k] and U[k+1] (``_float_u_row``).  U >= t/n follows, as U[K+1] is the
+    t/n row.  All three are float-only: on the true values they change
+    nothing.  The float U step runs over the stretches of t where the
+    winning levels are fixed, and once a float stage repeats the one before
+    it, that stage is yielded for every later k (``_float_rows`` gives both
+    arguments).
     """
     return _stages(spec, mode, keep_u=False)
 

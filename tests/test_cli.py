@@ -12,6 +12,10 @@ GOLDEN = Path(__file__).parent / "golden" / "table2.csv"
 SWEEP_GOLDEN = Path(__file__).parent / "golden" / "sweep.csv"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify.json"
 SIMULATE_GOLDEN_DIR = Path(__file__).parent / "golden"
+# An asymmetric dyadic model with three response levels.
+SIMULATE_M3_CONFIG = {
+    "n": 200, "K": 4, "M": 3, "p": ["1/8", "1/4", "5/8"], "q": ["1/2", "3/8", "1/8"]
+}
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -321,12 +325,7 @@ def test_simulate_zero_trials_is_usage_error(tmp_path):
             {"n": 1000, "K": 10, "M": 2, "p": ["9/10", "1/10"], "q": ["1/10", "9/10"]},
             100_000, 42, (1, 2),
         ),
-        # An asymmetric dyadic model with three response levels.
-        (
-            "simulate_m3.json",
-            {"n": 200, "K": 4, "M": 3, "p": ["1/8", "1/4", "5/8"], "q": ["1/2", "3/8", "1/8"]},
-            20_000, 7, (1,),
-        ),
+        ("simulate_m3.json", SIMULATE_M3_CONFIG, 20_000, 7, (1,)),
         # No queries, a one-trial last block and a negative seed.
         (
             "simulate_k0.json",
@@ -348,6 +347,29 @@ def test_simulate_matches_golden(tmp_path, golden, config, trials, seed, workers
         )
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout == (SIMULATE_GOLDEN_DIR / golden).read_text(), w
+
+
+def test_simulate_rational_mode_runs_the_exact_solve(tmp_path):
+    # The m3 config's float and exact thresholds agree, so a rational run walks
+    # the float golden's strategy over the same uniforms.  Only solver_value
+    # differs: the exact value rounded once reads ...447, the float solve ...448.
+    from secquery import NumericMode, read_config
+    from secquery.solver import solve
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SIMULATE_M3_CONFIG))
+    cp = run_cli(
+        "simulate", "--config", str(path), "--trials", "20000", "--seed", "7",
+        "--mode", "rational",
+    )
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads(cp.stdout)
+    float_run = json.loads((SIMULATE_GOLDEN_DIR / "simulate_m3.json").read_text())
+    walk = ("estimate", "stderr", "trials", "mean_queries", "seed")
+    assert {key: doc[key] for key in walk} == {key: float_run[key] for key in walk}
+    exact = solve(read_config(path, NumericMode.EXACT_RATIONAL), NumericMode.EXACT_RATIONAL)
+    assert doc["solver_value"] == float(exact.success_probability) == 0.5251445753250447
+    assert doc["solver_value"] != float_run["solver_value"]
 
 
 def test_verify_default_suite_passes():

@@ -89,7 +89,7 @@ def test_scripted_genie_exhaustion():
         run_strategy(ts, stream, ScriptedGenie([]))
 
 
-@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("level", [0, 3, 1.5])
 def test_genie_response_outside_levels_is_refused(level):
     _, ts = solve(6, 2, symmetric_binary_model(0.8))
     stream = relative_ranks((6, 5, 4, 3, 2, 1))  # record at every t

@@ -56,10 +56,13 @@ TABLE2_K = 10
 MAX_VERIFY_MODELS = 1000
 # Largest verify run, counted before any enumeration as the branches of its
 # lemma-2 checks: n!·M^n for each random model, n = min(--max-n, 5).  They set
-# most of a model's cost.  On a 2-vCPU VM one branch costs about 0.6 µs at
-# n = 5 (0.010–0.013 s per model at --max-n 5–7, 0.0025 s at --max-n 4), so
-# the cap is 3 s or less: 121 models take 1.4–1.6 s at --max-n 5 and
-# 1.8–1.9 s at --max-n 7, all 1000 take 2.6–2.8 s at --max-n 4.
+# most of a model's cost.  On a 2-vCPU VM a model's lemma-2 checks take
+# 15–21 ms at n = 5 (about 0.7 µs a branch at M = 3 and 4 µs at M = 2, where
+# fixed costs weigh more) and 2.6–3.7 ms at n = 4.  Runs at the cap take 3 s
+# or less: 121 models take 1.6–2.0 s at --max-n 5 and 2.1–2.9 s at
+# --max-n 7.  All 1000 models take 3.2–4.0 s at --max-n 4, with 1.2·10⁶
+# branches: there MAX_VERIFY_MODELS binds, and per-model costs outweigh
+# branches.
 MAX_VERIFY_BRANCHES = 2 * 10**6
 
 

@@ -219,10 +219,13 @@ def read_config(path: str | Path, mode: NumericMode = NumericMode.FLOAT64) -> Pr
     """parse_config of a file; one longer than MAX_CONFIG_BYTES is refused unparsed.
 
     Opened non-blocking, a FIFO with no writer reads as empty instead of
-    waiting; reads then block, so a pipe on /dev/stdin is read whole.
+    waiting; reads then block, so a pipe on /dev/stdin is read whole.  Where
+    ``os`` has no O_NONBLOCK (Windows), the file is opened plainly.
     """
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as f:
-        os.set_blocking(f.fileno(), True)
+    nonblock = getattr(os, "O_NONBLOCK", 0)
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblock)) as f:
+        if nonblock:
+            os.set_blocking(f.fileno(), True)
         raw = f.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
         raise ValidationError(f"config {path} is longer than MAX_CONFIG_BYTES={MAX_CONFIG_BYTES}")

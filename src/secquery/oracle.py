@@ -279,21 +279,11 @@ def _weigh(counts: list[int], columns: list[list[int]]) -> list[int] | None:
     return total
 
 
-def _combos(
-    den: list[list[int]], num: list[list[int]]
-) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """The keys of a prefix for ``_conditional``, with the ones each j reaches.
-
-    Bit i of reach[j] is set when key i has weight if the j-th query hits.
-    """
-    reach = [sum(1 << i for i, w in enumerate(column) if w) for column in den]
-    return den, num, reach
-
-
 def _conditional(
     check: IdentityCheck,
     rows: Iterable[tuple[tuple[int, ...], int, bool]],
-    combos: tuple[list[list[int]], list[list[int]], list[int]],
+    den_columns: list[list[int]],
+    num_columns: list[list[int]],
     classify: Callable[[tuple[int, ...]], bool],
     expected: Sequence[Sequence[Fraction | None]],
     describe: Callable[[int], str],
@@ -303,63 +293,57 @@ def _conditional(
     ``rows`` holds one (rank prefix, j, event) per permutation, j the index
     of the query that hit the best (k if none did); a branch's weight
     depends on the permutation only through j.  So permutations are counted
-    by (prefix, j), c_j in all and e_j with the event.  ``combos`` is
-    (den, num, reach) from ``_combos``: a key is (prefix, i), i a combo
-    index, and weighs sum_j c_j*den[j][i], of which sum_j e_j*num[j][i]
-    carries the event; ``describe(i)`` names it in a failure text.  Weights
-    are integers over one shared denominator, which cancels from each ratio.
-    Key (prefix, i) expects ``expected[classify(prefix)][i]``: the formula
-    reads the prefix through one boolean at most.  None marks a key that
-    must carry no weight; meeting one is a failed case.
+    by (prefix, j), c_j in all and e_j with the event.  A key is (prefix, i),
+    i a combo index, and weighs sum_j c_j*den_columns[j][i], of which
+    sum_j e_j*num_columns[j][i] carries the event; ``describe(i)`` names it
+    in a failure text.  Weights are integers over one shared denominator,
+    which cancels from each ratio.  Key (prefix, i) expects
+    ``expected[classify(prefix)][i]``: the formula reads the prefix through
+    one boolean at most.  None marks a key that must carry no weight;
+    meeting one is a failed case.
 
-    Keys are checked in the order a walk over every (permutation, combo)
-    branch with weight first meets them: at the first row of their prefix
-    whose j gives the combo weight, in combo order within that row.  Keys
-    without weight are never met.  Only counts are kept, one pair of k+1
-    per prefix, and one prefix's weights at a time.
+    Keys are checked prefix by prefix, in the order the rows first meet the
+    prefixes, and by combo index within a prefix; keys without weight are
+    skipped.  Only counts are kept, one pair of k+1 per prefix, and one
+    prefix's weights at a time.
 
     Prefixes share their checks.  Every key of a prefix is decided by its
-    class and its counts (c, e), so each such signature is decided once:
-    every key is cross-multiplied as in ``record_ratio`` and the keys that
-    pass are kept as a bitmask.  A row counts the newly met keys that pass
-    as cases and reports only its failing keys, one by one, so failure
-    texts and worst deviations are the branch walk's.  At t = n each prefix
-    is one permutation, so its c is a single 1 and e is c or 0: n! prefixes
-    share 2(k+1) signatures per class.
+    class and its counts (c, e), so each such signature is decided once,
+    every key cross-multiplied as in ``record_ratio``, into two bitmasks:
+    the keys that carry weight and the keys that pass.  Each prefix counts
+    its passing keys as cases and reports only its failing keys, one by
+    one, through ``fail`` or ``record_ratio``.  At t = n each prefix is one
+    permutation, so its c is a single 1 and e is c or 0: n! prefixes share
+    2(k+1) signatures per class.
     """
-    den_columns, num_columns, reach = combos
     width = len(den_columns)
     counts: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    firsts = []  # (prefix, j) in the order rows first meet them
     for prefix, j, event in rows:
         if (c := counts.get(prefix)) is None:
             c = counts[prefix] = ([0] * width, [0] * width)
-        if not c[0][j]:
-            firsts.append((prefix, j))
         c[0][j] += 1
         if event:
             c[1][j] += 1
-    met = dict.fromkeys(counts, 0)  # bit i: key i of the prefix was checked
-    passing: dict[tuple, int] = {}  # (class, *c, *e) -> bit i: key i passes
+    decided: dict[tuple, tuple[int, int]] = {}  # (class, *c, *e) -> (weighted, passing)
     nothing = [0] * len(den_columns[0])
-    for prefix, j in firsts:
-        new = reach[j] & ~met[prefix]
-        if not new:
-            continue
-        met[prefix] |= new
-        c, e = counts[prefix]
+    for prefix, (c, e) in counts.items():
         cls = classify(prefix)
         want = expected[cls]
         signature = (cls, *c, *e)
-        if (ok := passing.get(signature)) is None:
-            weighed = zip(want, _weigh(e, num_columns) or nothing, _weigh(c, den_columns))
-            ok = passing[signature] = sum(
-                1 << i
-                for i, (x, num, den) in enumerate(weighed)
-                if den and x is not None and _matches(x, num, den)
+        if (masks := decided.get(signature)) is None:
+            dens = _weigh(c, den_columns)
+            weighed = zip(want, _weigh(e, num_columns) or nothing, dens)
+            masks = decided[signature] = (
+                sum(1 << i for i, den in enumerate(dens) if den),
+                sum(
+                    1 << i
+                    for i, (x, num, den) in enumerate(weighed)
+                    if den and x is not None and _matches(x, num, den)
+                ),
             )
-        check.cases += (new & ok).bit_count()
-        if not (failing := new & ~ok):
+        weighted, passing = masks
+        check.cases += passing.bit_count()
+        if not (failing := weighted & ~passing):
             continue
         dens = _weigh(c, den_columns)
         nums = _weigh(e, num_columns) or nothing
@@ -418,14 +402,10 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
             [w * Pm for w in none for Pm in P],
             [w * Qm for w in none for Qm in Q],
         ]
-        by_zeta = _combos(weights, weights)
         # Key (zeta[:-1], m) weighs every last response and its event is the
         # response m, which every permutation can give; in product order the
         # M combos that share zeta[:-1] are adjacent.
-        by_last = _combos(
-            [[sum(w[i - i % M : i - i % M + M]) for i in range(len(w))] for w in weights],
-            weights,
-        )
+        any_last = [[sum(w[i - i % M : i - i % M + M]) for i in range(len(w))] for w in weights]
         # Every expected value reads a combo's last response, as a level index.
         last = [zeta[-1] - 1 for zeta in zetas]
         zeros = [zero] * len(zetas)
@@ -446,7 +426,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                 _conditional(
                     query_posterior if t == tk else cur_posterior,
                     ((z[:t], j, best == t) for (z, best), j in zip(data, hits)),
-                    by_zeta,
+                    weights,
+                    weights,
                     lambda prefix: prefix[t - 1] == 1,
                     (zeros, [posterior[m] for m in last]),
                     lambda i: f"tq={tq} zeta={zetas[i]}" + (f" t={t}" if t > tk else ""),
@@ -458,7 +439,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
             _conditional(
                 response_marginal,
                 ((z[:tk], j, True) for (z, _), j in zip(data, hits) if z[tk - 1] == 1),
-                by_last,
+                any_last,
+                weights,
                 lambda prefix: False,
                 ([marginal[m] for m in last],),
                 lambda i: f"tq={tq} zeta_prefix={zetas[i][:-1]} m={zetas[i][-1]}",
@@ -481,7 +463,8 @@ def verify_lemma2(n: int, model: ResponseModel) -> LemmaReport:
                         for (z, _), j in zip(data, hits)
                         if z[tk - 1] == 1
                     ),
-                    by_zeta,
+                    weights,
+                    weights,
                     lambda prefix: all(prefix[l] > 1 for l in range(tk, t - 1)),
                     ([uncorrected] * len(zetas), [corrected[m] for m in last]),
                     lambda i: f"tq={tq} zeta={zetas[i]} t={t}",

@@ -14,6 +14,7 @@ This is one of three walkers of a ``ThresholdSet``, with ``sim`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -104,7 +105,9 @@ def run_strategy(thresholds: ThresholdSet, stream: RankStream, genie: Genie) -> 
     The walk keeps the stage k: query k for k <= K, the final stop at
     k = K+1.  Stage k acts at the first record at or past ``gates[k-1]``.  A
     query and a final stop can never happen at the same time step: after a
-    query that continues, the walk moves on to t+1.
+    query that continues, the walk moves on to t+1.  A genie response must
+    be an integer (anything ``operator.index`` takes, numpy integers too) in
+    1..M, or ValueError names it; the level is recorded as an int.
     """
     if thresholds.n != stream.n:
         raise HorizonMismatch(f"thresholds solved for n={thresholds.n}, stream has n={stream.n}")
@@ -121,9 +124,13 @@ def run_strategy(thresholds: ThresholdSet, stream: RankStream, genie: Genie) -> 
         if k > K:
             selected = t
             break
-        level = genie(t, t == best_time)
+        response = genie(t, t == best_time)
+        try:
+            level = operator.index(response)
+        except TypeError:
+            level = None
         if level not in range(1, M + 1):
-            raise ValueError(f"genie response {level} outside 1..{M}")
+            raise ValueError(f"genie response {response} outside 1..{M}")
         queries.append((t, level))
         if t >= thresholds.s[k - 1][level - 1]:
             selected, stopped_at_query = t, True

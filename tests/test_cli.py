@@ -485,6 +485,21 @@ def test_config_piped_to_dev_stdin_solves(tmp_path):
     assert cp.stdout == run_cli("solve", "--config", str(config)).stdout
 
 
+def test_config_is_read_where_os_has_no_nonblocking_open(tmp_path, monkeypatch, capsys):
+    # os.O_NONBLOCK and os.set_blocking are Unix-only; without them (as on
+    # Windows) a config is opened plainly instead of dying with AttributeError.
+    from secquery import cli
+    from secquery.model import read_config
+
+    config = str(write_config(tmp_path, n=10, K=1, p="0.8"))
+    expected = run_cli("solve", "--config", config).stdout
+    monkeypatch.delattr(os, "O_NONBLOCK")
+    monkeypatch.delattr(os, "set_blocking")
+    assert read_config(config).n == 10
+    assert cli.main(["solve", "--config", config]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_oversized_solve_is_refused_before_allocating(tmp_path):
     # (2K+3)(n+1) cells of 10**8 x 2 would need several GB; the cap refuses
     # the instance well inside this 1 GiB address-space limit.

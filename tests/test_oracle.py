@@ -418,13 +418,14 @@ def test_exhaustive_optimal_values_and_type():
 
 
 def _literal_conditional(check, rows, expected, describe):
-    """P(event | key) for every key of (key, weight, event) rows, in first-seen order."""
+    """P(event | key) for every key of (key, weight, event) rows, by first-seen prefix, then combo."""
     den, num = {}, {}
     for key, w, event in rows:
         den[key] = den.get(key, 0) + w
         if event:
             num[key] = num.get(key, 0) + w
-    for key, d in den.items():
+    first = {prefix: i for i, prefix in enumerate(dict.fromkeys(key[0] for key in den))}
+    for key, d in sorted(den.items(), key=lambda item: (first[item[0][0]], item[0][1:])):
         want = expected(key)
         if want is None:
             check.fail(f"{describe(key)}: expected no weight on this key, got some")

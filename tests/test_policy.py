@@ -89,12 +89,21 @@ def test_scripted_genie_exhaustion():
         run_strategy(ts, stream, ScriptedGenie([]))
 
 
-@pytest.mark.parametrize("level", [0, 3, 1.5])
+@pytest.mark.parametrize("level", [0, 3, 1.5, 2.0])
 def test_genie_response_outside_levels_is_refused(level):
     _, ts = solve(6, 2, symmetric_binary_model(0.8))
     stream = relative_ranks((6, 5, 4, 3, 2, 1))  # record at every t
     with pytest.raises(ValueError, match=f"genie response {level} outside 1..2"):
         run_strategy(ts, stream, ScriptedGenie([level]))
+
+
+def test_genie_numpy_integer_level_is_recorded_as_int():
+    np = pytest.importorskip("numpy")
+    _, ts = solve(6, 2, symmetric_binary_model(0.8))
+    stream = relative_ranks((6, 5, 4, 3, 2, 1))  # record at every t
+    outcome = run_strategy(ts, stream, ScriptedGenie([np.int64(2)] * 2))
+    assert outcome == run_strategy(ts, stream, ScriptedGenie([2] * 2))
+    assert outcome.queries_used and all(type(level) is int for _, level in outcome.queries_used)
 
 
 def test_infallible_query_stop_iff_level_one(rng):
